@@ -1,8 +1,9 @@
 // bench_admin_overhead — answers "what does the HTTP admin plane cost the
 // serving path?": extraction throughput with a concurrent /metrics scraper
-// vs. without one. The admin server runs its own listener + handler threads
-// and shares nothing with the extraction workers except the (lock-free on
-// the hot path) metrics registry, so the budget documented in
+// vs. without one. The admin pages run on their own net::HttpServer
+// listener (one event-loop thread, named "admin" as in tegra_serve) and
+// share nothing with the extraction workers except the (lock-free on the
+// hot path) metrics registry, so the budget documented in
 // docs/OBSERVABILITY.md is < 2% throughput delta at a 10 Hz scrape rate.
 //
 //   ./bench_admin_overhead [--seconds S] [--clients N] [--scrape-hz HZ]
@@ -23,9 +24,10 @@
 #include <vector>
 
 #include "corpus/corpus_stats.h"
+#include "net/http_client.h"
+#include "net/http_server.h"
 #include "service/admin_pages.h"
 #include "service/extraction_service.h"
-#include "service/http_admin.h"
 #include "store/corpus_manager.h"
 #include "synth/corpus_gen.h"
 #include "trace/trace.h"
@@ -36,8 +38,6 @@ namespace {
 using tegra::serve::AdminPages;
 using tegra::serve::ExtractionRequest;
 using tegra::serve::ExtractionService;
-using tegra::serve::HttpAdminServer;
-using tegra::serve::HttpGet;
 using tegra::serve::ServiceOptions;
 
 struct BenchConfig {
@@ -129,8 +129,10 @@ int main(int argc, char** argv) {
                                                [](const tegra::CorpusView*) {}),
       /*path=*/"");
   AdminPages pages(&service, &tegra::trace::Tracer::Global(), &manager);
-  HttpAdminServer admin({}, &registry);
-  pages.RegisterAll(&admin);
+  tegra::net::HttpServerOptions admin_options;
+  admin_options.name = "admin";
+  tegra::net::HttpServer admin(admin_options, &registry);
+  admin.set_handler(pages.Handler());
   if (!admin.Start().ok()) {
     std::fprintf(stderr, "failed to start admin server\n");
     return 1;
@@ -148,7 +150,8 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(1.0 / std::max(0.1, config.scrape_hz));
     while (!scraper_exit.load(std::memory_order_acquire)) {
       if (scraper_on.load(std::memory_order_acquire)) {
-        const auto result = HttpGet(port, "/metrics");
+        const auto result =
+            tegra::net::HttpClient("127.0.0.1", port).Get("/metrics");
         if (result.ok() && result->status == 200) {
           scrapes.fetch_add(1, std::memory_order_relaxed);
         }

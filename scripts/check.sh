@@ -10,14 +10,16 @@
 #                       full suite must still pass, proving nothing depends
 #                       on tracing being compiled in
 #   3. tsan           — TEGRA_SANITIZE=thread; runs the `service`, `trace`,
-#                       `store`, `net`, `prof` and `qos` ctest labels plus
-#                       the metrics/stress tests, the suites with real
-#                       cross-thread traffic (store_test races readers
-#                       against corpus hot swaps; the net suite runs the
-#                       event loop against concurrent clients; the prof
-#                       suite fires SIGPROF into a live thread pool; the
-#                       qos suite hammers the controller and tenant
-#                       buckets from concurrent admission threads)
+#                       `store`, `net`, `prof`, `qos` and `health` ctest
+#                       labels plus the metrics/stress tests, the suites
+#                       with real cross-thread traffic (store_test races
+#                       readers against corpus hot swaps; the net suite
+#                       runs the event loop against concurrent clients;
+#                       the prof suite fires SIGPROF into a live thread
+#                       pool; the qos suite hammers the controller and
+#                       tenant buckets from concurrent admission threads;
+#                       the health suite blocks real threads and signals
+#                       them from the watchdog)
 #
 # Usage:
 #   scripts/check.sh            # all three configurations
@@ -69,11 +71,13 @@ if [[ "$ONLY" == "all" || "$ONLY" == "tsan" ]]; then
   # the histogram CAS paths; the prof label delivers SIGPROF into busy
   # worker threads while captures drain the sample rings; the qos label
   # covers the degradation controller (health tick vs request threads)
-  # and the tenant bucket map under concurrent admission checks.
+  # and the tenant bucket map under concurrent admission checks; the
+  # health label runs the watchdog against genuinely blocked worker
+  # threads and captures their stacks with a targeted SIGPROF.
   configure_and_build tsan -DTEGRA_SANITIZE=thread -DTEGRA_TRACE=ON
-  echo "=== [tsan] test (service/trace/store/net/prof/qos labels, metrics/stress) ==="
+  echo "=== [tsan] test (service/trace/store/net/prof/qos/health labels, metrics/stress) ==="
   (cd "$ROOT/build-check-tsan" &&
-    run ctest --output-on-failure --timeout 600 -L 'service|trace|store|net|prof|qos' &&
+    run ctest --output-on-failure --timeout 600 -L 'service|trace|store|net|prof|qos|health' &&
     run ctest --output-on-failure --timeout 600 -R 'metrics_test|stress_test')
   echo "=== [tsan] OK ==="
 fi

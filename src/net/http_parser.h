@@ -1,12 +1,8 @@
-// tegra::net — the dependency-free HTTP/1.1 framing layer shared by both
-// HTTP planes of a tegra process:
-//
-//  * the GET-only admin plane (src/service/http_admin.*), which used to own
-//    a private request-line parser, and
-//  * the epoll-driven data plane (src/net/http_server.*), which needs full
-//    incremental parsing: bodies framed by Content-Length, requests split
-//    across arbitrary read boundaries, and pipelined requests sharing one
-//    buffer.
+// tegra::net — the dependency-free HTTP/1.1 framing layer of
+// net::HttpServer, the one server behind both HTTP planes of a tegra
+// process (the data plane and the admin zPages). It parses incrementally:
+// bodies framed by Content-Length, requests split across arbitrary read
+// boundaries, and pipelined requests sharing one buffer.
 //
 // The parser is a push-style state machine: callers Feed() whatever bytes
 // the socket produced and inspect state(). Limits (head bytes, header

@@ -18,6 +18,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <mutex>
+#include <set>
 #include <utility>
 
 #include "prof/profiler.h"
@@ -39,6 +41,17 @@ bool SetNonBlocking(int fd) {
 /// if it somehow doesn't, shedding must not block the event loop.
 void BestEffortSend(int fd, const std::string& data) {
   (void)!::send(fd, data.data(), data.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+}
+
+/// Returns a copy of `s` that lives until process exit. Trace events keep
+/// span names as raw pointers, possibly beyond the server that recorded
+/// them, so names built at run time go into a set that is never freed
+/// (node-based, so earlier pointers survive later inserts).
+const char* InternName(std::string s) {
+  static std::mutex mu;
+  static auto* names = new std::set<std::string>();
+  std::lock_guard<std::mutex> lock(mu);
+  return names->insert(std::move(s)).first->c_str();
 }
 
 }  // namespace
@@ -164,21 +177,24 @@ HttpServer::HttpServer(HttpServerOptions options, MetricsRegistry* registry)
     : options_(std::move(options)),
       completions_(std::make_shared<CompletionQueue>()) {
   wheel_.resize(kWheelBuckets);
+  const std::string& name = options_.name;
+  span_name_ = InternName(name + ".request");
+  span_category_ = InternName(name);
   if (registry != nullptr) {
-    connections_total_ = registry->GetCounter("net.connections_total");
-    requests_total_ = registry->GetCounter("net.requests_total");
-    responses_2xx_ = registry->GetCounter("net.responses_2xx_total");
-    responses_4xx_ = registry->GetCounter("net.responses_4xx_total");
-    responses_5xx_ = registry->GetCounter("net.responses_5xx_total");
-    bad_requests_total_ = registry->GetCounter("net.bad_request_total");
-    shed_total_ = registry->GetCounter("net.shed_connections_total");
-    read_timeouts_ = registry->GetCounter("net.read_timeout_total");
-    write_timeouts_ = registry->GetCounter("net.write_timeout_total");
-    handler_timeouts_ = registry->GetCounter("net.handler_timeout_total");
-    request_latency_ = registry->GetHistogram("net.request_seconds");
-    active_gauge_ = registry->GetGauge("net.connections_active");
-    saturated_gauge_ = registry->GetGauge("net.saturated");
-    port_gauge_ = registry->GetGauge("net.port");
+    connections_total_ = registry->GetCounter(name + ".connections_total");
+    requests_total_ = registry->GetCounter(name + ".requests_total");
+    responses_2xx_ = registry->GetCounter(name + ".responses_2xx_total");
+    responses_4xx_ = registry->GetCounter(name + ".responses_4xx_total");
+    responses_5xx_ = registry->GetCounter(name + ".responses_5xx_total");
+    bad_requests_total_ = registry->GetCounter(name + ".bad_request_total");
+    shed_total_ = registry->GetCounter(name + ".shed_connections_total");
+    read_timeouts_ = registry->GetCounter(name + ".read_timeout_total");
+    write_timeouts_ = registry->GetCounter(name + ".write_timeout_total");
+    handler_timeouts_ = registry->GetCounter(name + ".handler_timeout_total");
+    request_latency_ = registry->GetHistogram(name + ".request_seconds");
+    active_gauge_ = registry->GetGauge(name + ".connections_active");
+    saturated_gauge_ = registry->GetGauge(name + ".saturated");
+    port_gauge_ = registry->GetGauge(name + ".port");
   }
 }
 
@@ -187,7 +203,7 @@ HttpServer::~HttpServer() { Stop(); }
 Status HttpServer::Start() {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
   if (running_.load(std::memory_order_acquire)) {
-    return Status::InvalidArgument("data-plane server already running");
+    return Status::InvalidArgument(options_.name + " server already running");
   }
   if (!handler_) {
     return Status::InvalidArgument("no handler installed; call set_handler()");
@@ -331,7 +347,7 @@ HttpServerStats HttpServer::Stats() const {
 // ---- Event loop ------------------------------------------------------------
 
 void HttpServer::EventLoop() {
-  prof::EnsureThreadRegistered("net-loop");
+  prof::EnsureThreadRegistered(options_.name + "-loop");
   std::vector<Poller::Event> events;
   bool drain_started = false;
   Clock::time_point drain_deadline;
@@ -368,7 +384,7 @@ void HttpServer::EventLoop() {
     // even on an idle server; silence beyond a few ticks means wedged.
     if (options_.loop_heartbeat) options_.loop_heartbeat();
     if (n < 0 && errno != EINTR) {
-      trace::LogError("data-plane poller failed",
+      trace::LogError(options_.name + " poller failed",
                       {{"errno", std::strerror(errno)}});
       break;
     }
@@ -432,7 +448,7 @@ void HttpServer::AcceptReady() {
       if (errno == EINTR) continue;
       if (errno != EAGAIN && errno != EWOULDBLOCK &&
           errno != ECONNABORTED) {
-        trace::LogWarn("data-plane accept failed",
+        trace::LogWarn(options_.name + " accept failed",
                        {{"errno", std::strerror(errno)}});
       }
       return;
@@ -591,7 +607,7 @@ void HttpServer::StartResponse(Connection* conn, const HttpResponse& response,
             .count();
     if (request_latency_ != nullptr) request_latency_->Observe(seconds);
     trace::Tracer& tracer = trace::Tracer::Global();
-    tracer.RecordManual("net.request", "net", conn->request_start_us,
+    tracer.RecordManual(span_name_, span_category_, conn->request_start_us,
                         static_cast<uint64_t>(seconds * 1e6));
     conn->request_started = false;
   }

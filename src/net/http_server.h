@@ -1,8 +1,6 @@
-// tegra::net::HttpServer — the epoll-driven HTTP/1.1 data plane.
-//
-// The admin plane (src/service/http_admin.*) is thread-per-connection with
-// blocking sockets: perfect for two probes and a scraper, hopeless for
-// thousands of concurrent extraction clients. This server owns the
+// tegra::net::HttpServer — the epoll-driven HTTP/1.1 server behind both
+// planes of tegra_serve: the data plane (POST /v1/extract) and the admin
+// zPages each run one instance on their own listener. The server owns the
 // connection lifecycle the way a production front end does:
 //
 //  * One event-loop thread multiplexing every connection through epoll
@@ -12,11 +10,12 @@
 //    connection.
 //
 //  * Asynchronous handlers. The handler receives the parsed request plus a
-//    completion callback and must NOT block the loop; it hands work to its
-//    own executor (the ExtractionService worker pool, in the data plane)
-//    and invokes the callback from any thread when the response is ready.
-//    The callback enqueues the response and wakes the loop through a
-//    self-pipe, so handler threads never touch connection state.
+//    completion callback and must NOT block the loop. Work that blocks is
+//    handed to an executor (the ExtractionService worker pool in the data
+//    plane, a capture thread for the admin plane's /pprof/profile), which
+//    invokes the callback from any thread when the response is ready. The
+//    callback enqueues the response and wakes the loop through a self-pipe,
+//    so handler threads never touch connection state.
 //
 //  * Keep-alive with pipelining: a connection parses its next buffered
 //    request as soon as the previous response is flushed. At most one
@@ -42,11 +41,13 @@
 //    "Connection: close", then tears down. In-flight work is never
 //    dropped.
 //
-// Instrumentation (when a MetricsRegistry is supplied): net.connections_*,
+// Instrumentation (when a MetricsRegistry is supplied), every name prefixed
+// with HttpServerOptions::name ("net" below): net.connections_*,
 // net.requests_total, net.responses_{2xx,4xx,5xx}_total,
 // net.{read,write,handler}_timeout_total, net.shed_connections_total,
-// net.request_seconds, plus a manual "net.request" trace span covering
-// first byte of the request head to response enqueue.
+// net.bad_request_total, net.request_seconds, net.saturated, net.port, plus
+// a manual "net.request" trace span covering first byte of the request head
+// to response enqueue.
 
 #ifndef TEGRA_NET_HTTP_SERVER_H_
 #define TEGRA_NET_HTTP_SERVER_H_
@@ -85,8 +86,13 @@ enum class PollerBackend {
   kPoll,   ///< poll(2); portable fallback, also used to test both paths.
 };
 
-/// \brief Static configuration of the data-plane server.
+/// \brief Static configuration of one listener.
 struct HttpServerOptions {
+  /// Name of the listener: the prefix of its metric names
+  /// ("net" -> net.requests_total), its trace span ("net.request") and its
+  /// event-loop thread ("net-loop"), and the subject of its log messages.
+  /// Listeners sharing one MetricsRegistry need distinct names.
+  std::string name = "net";
   /// Port to bind; 0 requests an ephemeral port (read it back via port()).
   int port = 0;
   /// Bind address; default loopback-only.
@@ -270,6 +276,10 @@ class HttpServer {
   Gauge* active_gauge_ = nullptr;
   Gauge* saturated_gauge_ = nullptr;
   Gauge* port_gauge_ = nullptr;
+  // Span name and category derived from options_.name, interned for the
+  // process lifetime because TraceEvent keeps raw pointers.
+  const char* span_name_ = nullptr;
+  const char* span_category_ = nullptr;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};

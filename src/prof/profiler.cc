@@ -102,17 +102,21 @@ int GetTid() { return static_cast<int>(::syscall(SYS_gettid)); }
 // ucontext and walk the frame chain within the thread's known stack bounds.
 // ---------------------------------------------------------------------------
 
-void PcAndFpFromContext(void* ucontext, uintptr_t* pc, uintptr_t* fp) {
+void PcFpSpFromContext(void* ucontext, uintptr_t* pc, uintptr_t* fp,
+                       uintptr_t* sp) {
   *pc = 0;
   *fp = 0;
+  *sp = 0;
   if (ucontext == nullptr) return;
   ucontext_t* uc = static_cast<ucontext_t*>(ucontext);
 #if defined(__x86_64__)
   *pc = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
   *fp = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RBP]);
+  *sp = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RSP]);
 #elif defined(__aarch64__)
   *pc = static_cast<uintptr_t>(uc->uc_mcontext.pc);
   *fp = static_cast<uintptr_t>(uc->uc_mcontext.regs[29]);
+  *sp = static_cast<uintptr_t>(uc->uc_mcontext.sp);
 #else
   (void)uc;
 #endif
@@ -128,35 +132,86 @@ std::atomic<uint32_t> g_capture_gen{0};   // generation of the pending request
 std::atomic<uint32_t> g_capture_done{0};  // last generation completed
 Sample g_capture_sample;                  // written by handler, then done
 
+// The frame record at `frame` ([0] = caller's fp, [1] = return address),
+// or null when it does not lie within this thread's stack. The upper bound
+// is written so that a garbage `frame` near the top of the address space
+// cannot wrap past it.
+const uintptr_t* RecordAt(const ThreadSlot* slot, uintptr_t frame) {
+  if (frame < slot->stack_lo ||
+      frame > slot->stack_hi - 2 * sizeof(uintptr_t) ||
+      (frame & (sizeof(uintptr_t) - 1)) != 0) {
+    return nullptr;
+  }
+  return reinterpret_cast<const uintptr_t*>(frame);
+}
+
+// Finds the nearest saved frame pointer above `sp`: the first stack word
+// whose value starts two frame records, each with a saved fp further
+// toward the stack base and a return address that could point at code
+// (above the never-mapped low 64 KiB, within 48-bit user space, outside
+// this stack). Stray pointers to stack locals rarely pass. Returns 0 when
+// nothing within reach qualifies. Reads arbitrary stack words, some
+// outside any live object and some last written by code the sanitizers
+// never saw, hence the exemptions.
+__attribute__((no_sanitize("address", "thread"))) uintptr_t ScanForFrame(
+    const ThreadSlot* slot, uintptr_t sp) {
+  constexpr uintptr_t kScanBytes = 4096;
+  const auto plausible_return = [slot](uint64_t ret) {
+    return ret >= 0x10000 && (ret >> 48) == 0 &&
+           (ret < slot->stack_lo || ret >= slot->stack_hi);
+  };
+  uintptr_t a = sp & ~static_cast<uintptr_t>(sizeof(uintptr_t) - 1);
+  if (a < slot->stack_lo) return 0;
+  const uintptr_t end = std::min(slot->stack_hi, a + kScanBytes);
+  for (; a + sizeof(uintptr_t) <= end; a += sizeof(uintptr_t)) {
+    // Only words above `a` are live stack: below sp the main thread's
+    // stack range may not even be mapped.
+    const uintptr_t candidate = *reinterpret_cast<const uintptr_t*>(a);
+    if (candidate <= a) continue;
+    uintptr_t frame = candidate;
+    int links = 0;
+    for (; links < 2; ++links) {
+      const uintptr_t* fr = RecordAt(slot, frame);
+      if (fr == nullptr || !plausible_return(fr[1]) || fr[0] <= frame) break;
+      frame = fr[0];
+    }
+    if (links == 2) return candidate;
+  }
+  return 0;
+}
+
 // Walks the frame chain into `s`: [fp] = caller's fp, [fp+8] = return
 // address. Every dereference is bounds-checked against this thread's stack
 // and the chain must grow strictly toward the stack base, so a corrupt or
 // foreign fp terminates the walk instead of faulting. Async-signal-safe.
+//
+// Code built without frame pointers may hold a scratch value in the frame
+// register at the interrupted PC — ThreadSanitizer's libc interceptors do
+// while a thread blocks in them. When fp does not lead to a plausible
+// record (one above the stack pointer, whose saved fp ends the chain or
+// points further toward the base), the walk resumes from the nearest saved
+// frame pointer above the stack pointer, losing only the frames in between.
 void WalkFrameChain(const ThreadSlot* slot, uintptr_t pc, uintptr_t fp,
-                    Sample* s) {
+                    uintptr_t sp, Sample* s) {
   uint32_t depth = 0;
   s->pcs[depth++] = pc;
-  uintptr_t frame = fp;
+  const uintptr_t* first = fp >= sp ? RecordAt(slot, fp) : nullptr;
+  uintptr_t frame = first != nullptr && (first[0] == 0 || first[0] > fp)
+                        ? fp
+                        : ScanForFrame(slot, sp);
   while (depth < kMaxDepth) {
-    if (frame < slot->stack_lo ||
-        frame + 2 * sizeof(uintptr_t) > slot->stack_hi) {
-      break;
-    }
-    if ((frame & (sizeof(uintptr_t) - 1)) != 0) break;
-    const uintptr_t* fr = reinterpret_cast<const uintptr_t*>(frame);
-    const uintptr_t ret = fr[1];
-    const uintptr_t next = fr[0];
-    if (ret == 0) break;
-    s->pcs[depth++] = ret;
-    if (next <= frame) break;  // must move toward the stack base
-    frame = next;
+    const uintptr_t* fr = RecordAt(slot, frame);
+    if (fr == nullptr || fr[1] == 0) break;
+    s->pcs[depth++] = fr[1];
+    if (fr[0] <= frame) break;  // must move toward the stack base
+    frame = fr[0];
   }
   s->depth = depth;
 }
 
 void SigprofHandler(int /*signo*/, siginfo_t* /*info*/, void* ucontext) {
-  uintptr_t pc = 0, fp = 0;
-  PcAndFpFromContext(ucontext, &pc, &fp);
+  uintptr_t pc = 0, fp = 0, sp = 0;
+  PcFpSpFromContext(ucontext, &pc, &fp, &sp);
 
   // A directed capture aimed at this thread takes priority over sampling:
   // consume it whether the signal came from tgkill or the interval timer.
@@ -165,7 +220,7 @@ void SigprofHandler(int /*signo*/, siginfo_t* /*info*/, void* ucontext) {
     ThreadSlot* slot = t_slot;
     if (slot != nullptr && slot->ready.load(std::memory_order_relaxed) &&
         slot->tid.load(std::memory_order_relaxed) == target) {
-      if (pc != 0) WalkFrameChain(slot, pc, fp, &g_capture_sample);
+      if (pc != 0) WalkFrameChain(slot, pc, fp, sp, &g_capture_sample);
       g_capture_target_tid.store(0, std::memory_order_relaxed);
       g_capture_done.store(g_capture_gen.load(std::memory_order_relaxed),
                            std::memory_order_release);
@@ -197,7 +252,7 @@ void SigprofHandler(int /*signo*/, siginfo_t* /*info*/, void* ucontext) {
 
   Sample& s =
       slot->ring.load(std::memory_order_relaxed)[head % kRingEntries];
-  WalkFrameChain(slot, pc, fp, &s);
+  WalkFrameChain(slot, pc, fp, sp, &s);
   slot->head.store(head + 1, std::memory_order_release);
 }
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -116,6 +117,27 @@ JsonValue StallToJson(const health::StallRecord& stall) {
   s.Set("stack", JsonValue::Str(stall.folded_stack));
   return s;
 }
+
+/// Every admin page, by exact path. /pprof/profile is listed for the 404
+/// endpoint directory but dispatched to a capture thread, never inline.
+struct Route {
+  const char* path;
+  net::HttpResponse (AdminPages::*page)(const net::HttpRequest&);
+};
+constexpr Route kRoutes[] = {
+    {"/", &AdminPages::Index},
+    {"/metrics", &AdminPages::Metrics},
+    {"/healthz", &AdminPages::Healthz},
+    {"/readyz", &AdminPages::Readyz},
+    {"/statusz", &AdminPages::Statusz},
+    {"/tracez", &AdminPages::Tracez},
+    {"/slowlogz", &AdminPages::Slowlogz},
+    {"/varz", &AdminPages::Varz},
+    {"/pprof/profile", &AdminPages::PprofProfile},
+    {"/timeseriesz", &AdminPages::Timeseriesz},
+    {"/alertz", &AdminPages::Alertz},
+    {"/qosz", &AdminPages::Qosz},
+};
 
 }  // namespace
 
@@ -237,43 +259,75 @@ void AdminPages::RefreshHealthGauges(MetricsRegistry* registry) {
       ->Set(std::isfinite(staleness) ? staleness : -1.0);
 }
 
-void AdminPages::RegisterAll(HttpAdminServer* server) {
-  server->Handle("/", [this](const HttpRequest& r) { return Index(r); });
-  server->Handle("/metrics",
-                 [this](const HttpRequest& r) { return Metrics(r); });
-  server->Handle("/healthz",
-                 [this](const HttpRequest& r) { return Healthz(r); });
-  server->Handle("/readyz", [this](const HttpRequest& r) { return Readyz(r); });
-  server->Handle("/statusz",
-                 [this](const HttpRequest& r) { return Statusz(r); });
-  server->Handle("/tracez", [this](const HttpRequest& r) { return Tracez(r); });
-  server->Handle("/slowlogz",
-                 [this](const HttpRequest& r) { return Slowlogz(r); });
-  server->Handle("/varz", [this](const HttpRequest& r) { return Varz(r); });
-  server->Handle("/pprof/profile",
-                 [this](const HttpRequest& r) { return PprofProfile(r); });
-  server->Handle("/timeseriesz",
-                 [this](const HttpRequest& r) { return Timeseriesz(r); });
-  server->Handle("/alertz", [this](const HttpRequest& r) { return Alertz(r); });
-  server->Handle("/qosz", [this](const HttpRequest& r) { return Qosz(r); });
+AdminPages::~AdminPages() {
+  std::lock_guard<std::mutex> lock(captures_mu_);
+  for (ProfileCapture& capture : captures_) capture.thread.join();
 }
 
-HttpResponse AdminPages::Index(const HttpRequest&) {
+net::AsyncHandler AdminPages::Handler() {
+  return [this](const net::HttpRequest& request, net::ResponseCallback done) {
+    if (request.method != "GET") {
+      // The admin plane is strictly read-only; the data plane owns POST.
+      done(net::HttpResponse::Text(405, "admin plane is GET-only\n"));
+      return;
+    }
+    if (request.path == "/pprof/profile") {
+      StartProfileCapture(request, std::move(done));
+      return;
+    }
+    for (const Route& route : kRoutes) {
+      if (request.path == route.path) {
+        done((this->*route.page)(request));
+        return;
+      }
+    }
+    std::string body = "404 not found: " + request.path + "\n\nendpoints:\n";
+    for (const Route& route : kRoutes) {
+      body += std::string("  ") + route.path + "\n";
+    }
+    done(net::HttpResponse::Text(404, std::move(body)));
+  };
+}
+
+void AdminPages::StartProfileCapture(const net::HttpRequest& request,
+                                     net::ResponseCallback done) {
+  std::lock_guard<std::mutex> lock(captures_mu_);
+  // Reap finished captures; the admin listener's connection cap bounds how
+  // many can be in flight.
+  for (auto it = captures_.begin(); it != captures_.end();) {
+    if (it->finished.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = captures_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  // The node stays put until its thread is joined, so the thread may keep a
+  // reference to it.
+  ProfileCapture& capture = captures_.emplace_back();
+  capture.thread =
+      std::thread([this, request, done = std::move(done), &capture] {
+        done(PprofProfile(request));
+        capture.finished.store(true, std::memory_order_release);
+      });
+}
+
+net::HttpResponse AdminPages::Index(const net::HttpRequest&) {
   std::string body = PageHead("tegra admin");
   body += "<p>build " + std::string(GetBuildInfo().git_sha) + " · up " +
           FormatUptime(ProcessUptimeSeconds()) + "</p>\n";
   body += NavLinks();
   body += kPageFoot;
-  return HttpResponse::Html(std::move(body));
+  return net::HttpResponse::Html(std::move(body));
 }
 
-HttpResponse AdminPages::Metrics(const HttpRequest& request) {
+net::HttpResponse AdminPages::Metrics(const net::HttpRequest& request) {
   MetricsRegistry* registry =
       service_ != nullptr
           ? service_->metrics()  // refreshes queue/cache gauges
           : (tracer_ != nullptr ? tracer_->metrics() : nullptr);
   if (registry == nullptr) {
-    return HttpResponse::Text(503, "no metrics registry\n");
+    return net::HttpResponse::Text(503, "no metrics registry\n");
   }
   registry->GetGauge("process.uptime_seconds")->Set(ProcessUptimeSeconds());
   RefreshCorpusGauges(registry);
@@ -288,34 +342,34 @@ HttpResponse AdminPages::Metrics(const HttpRequest& request) {
       request.Header("accept").find("application/openmetrics-text") !=
           std::string::npos;
   if (openmetrics) {
-    HttpResponse response =
-        HttpResponse::Text(200, trace::ToOpenMetricsText(registry->Snapshot()));
+    net::HttpResponse response = net::HttpResponse::Text(
+        200, trace::ToOpenMetricsText(registry->Snapshot()));
     response.content_type =
         "application/openmetrics-text; version=1.0.0; charset=utf-8";
     return response;
   }
-  HttpResponse response =
-      HttpResponse::Text(200, trace::ToPrometheusText(registry->Snapshot()));
+  net::HttpResponse response = net::HttpResponse::Text(
+      200, trace::ToPrometheusText(registry->Snapshot()));
   // The exposition-format content type Prometheus expects.
   response.content_type = "text/plain; version=0.0.4; charset=utf-8";
   return response;
 }
 
-HttpResponse AdminPages::Healthz(const HttpRequest&) {
+net::HttpResponse AdminPages::Healthz(const net::HttpRequest&) {
   // Liveness, with one sharpening: a process whose worker threads are
   // wedged is *not* alive in any useful sense, even though this handler
   // (on the admin thread) still runs. The watchdog verdict makes the
   // orchestrator restart a stuck process instead of routing around it
   // forever. Readiness is still /readyz's job.
   if (health_ != nullptr && health_->watchdog()->stalled()) {
-    return HttpResponse::Text(
+    return net::HttpResponse::Text(
         503, "stalled=true\nstalls_total=" +
                  std::to_string(health_->watchdog()->stalls_total()) + "\n");
   }
   if (health_ != nullptr) {
-    return HttpResponse::Text(200, "ok\nstalled=false\n");
+    return net::HttpResponse::Text(200, "ok\nstalled=false\n");
   }
-  return HttpResponse::Text(200, "ok\n");
+  return net::HttpResponse::Text(200, "ok\n");
 }
 
 AdminPages::Readiness AdminPages::CheckReadiness() {
@@ -360,27 +414,28 @@ AdminPages::Readiness AdminPages::CheckReadiness() {
   return result;
 }
 
-HttpResponse AdminPages::Readyz(const HttpRequest&) {
+net::HttpResponse AdminPages::Readyz(const net::HttpRequest&) {
   const Readiness readiness = CheckReadiness();
   if (!readiness.ready) {
-    return HttpResponse::Text(503, "not ready: " + readiness.reason + "\n");
+    return net::HttpResponse::Text(503,
+                                   "not ready: " + readiness.reason + "\n");
   }
   // Degraded-but-ready: firing SLO alerts do not flip readiness (that would
   // drain the very capacity needed to recover), but the annotation lets a
   // human or rollout tool distinguish "green" from "serving while burning
   // error budget".
   if (health_ != nullptr && health_->slo()->firing() > 0) {
-    return HttpResponse::Text(
+    return net::HttpResponse::Text(
         200, "ok\ndegraded: " + std::to_string(health_->slo()->firing()) +
                  " alert(s) firing: " +
                  AlertNames(health_->slo()->Snapshot(),
                             health::AlertState::kFiring) +
                  "\n");
   }
-  return HttpResponse::Text(200, "ok\n");
+  return net::HttpResponse::Text(200, "ok\n");
 }
 
-HttpResponse AdminPages::Statusz(const HttpRequest&) {
+net::HttpResponse AdminPages::Statusz(const net::HttpRequest&) {
   const BuildInfo& build = GetBuildInfo();
   std::string body = PageHead("tegra /statusz");
   body += NavLinks();
@@ -681,26 +736,26 @@ HttpResponse AdminPages::Statusz(const HttpRequest&) {
   }
 
   body += kPageFoot;
-  return HttpResponse::Html(std::move(body));
+  return net::HttpResponse::Html(std::move(body));
 }
 
-HttpResponse AdminPages::Tracez(const HttpRequest&) {
+net::HttpResponse AdminPages::Tracez(const net::HttpRequest&) {
   if (tracer_ == nullptr) {
-    return HttpResponse::Text(503, "tracer not attached\n");
+    return net::HttpResponse::Text(503, "tracer not attached\n");
   }
   // The Chrome trace_event "JSON object format" — save and load in
   // ui.perfetto.dev, or point a fetch at this endpoint directly.
-  return HttpResponse::Json(
+  return net::HttpResponse::Json(
       trace::ToChromeTraceJson(tracer_->RingSnapshot()));
 }
 
-HttpResponse AdminPages::Slowlogz(const HttpRequest& request) {
+net::HttpResponse AdminPages::Slowlogz(const net::HttpRequest& request) {
   if (service_ == nullptr) {
-    return HttpResponse::Text(503, "extraction service not attached\n");
+    return net::HttpResponse::Text(503, "extraction service not attached\n");
   }
   const SlowRequestLog& slowlog = service_->slowlog();
   if (request.Param("format") == "json") {
-    return HttpResponse::Json(SlowlogToJson(slowlog).Dump());
+    return net::HttpResponse::Json(SlowlogToJson(slowlog).Dump());
   }
 
   std::string body = PageHead("tegra /slowlogz");
@@ -734,53 +789,52 @@ HttpResponse AdminPages::Slowlogz(const HttpRequest& request) {
     }
   }
   body += kPageFoot;
-  return HttpResponse::Html(std::move(body));
+  return net::HttpResponse::Html(std::move(body));
 }
 
-HttpResponse AdminPages::Varz(const HttpRequest&) {
+net::HttpResponse AdminPages::Varz(const net::HttpRequest&) {
   MetricsRegistry* registry =
       service_ != nullptr
           ? service_->metrics()
           : (tracer_ != nullptr ? tracer_->metrics() : nullptr);
   if (registry == nullptr) {
-    return HttpResponse::Text(503, "no metrics registry\n");
+    return net::HttpResponse::Text(503, "no metrics registry\n");
   }
   registry->GetGauge("process.uptime_seconds")->Set(ProcessUptimeSeconds());
   RefreshCorpusGauges(registry);
   RefreshTraceGauges(registry);
   RefreshHealthGauges(registry);
-  return HttpResponse::Json(registry->Snapshot().ToJson());
+  return net::HttpResponse::Json(registry->Snapshot().ToJson());
 }
 
-HttpResponse AdminPages::PprofProfile(const HttpRequest& request) {
+net::HttpResponse AdminPages::PprofProfile(const net::HttpRequest& request) {
   double seconds = 2.0;
   const std::string param = request.Param("seconds");
   if (!param.empty()) {
     char* end = nullptr;
     const double parsed = std::strtod(param.c_str(), &end);
     if (end == param.c_str() || !std::isfinite(parsed)) {
-      return HttpResponse::Text(400, "bad seconds parameter\n");
+      return net::HttpResponse::Text(400, "bad seconds parameter\n");
     }
     seconds = parsed;
   }
   // Clamp instead of reject: a scraper asking for 600s should not be able to
-  // pin an admin handler thread for 10 minutes.
+  // pin a capture thread (and its connection) for 10 minutes.
   seconds = std::min(30.0, std::max(0.1, seconds));
   Result<prof::Profile> profile =
       prof::CpuProfiler::Global().Capture(seconds);
   if (!profile.ok()) {
-    return HttpResponse::Text(503,
-                              "profiler unavailable: " +
-                                  profile.status().message() + "\n");
+    return net::HttpResponse::Text(
+        503, "profiler unavailable: " + profile.status().message() + "\n");
   }
   // Folded-stack format ("frame;frame;frame count"), the lingua franca of
   // flamegraph tooling: flamegraph.pl, inferno, speedscope all ingest it.
-  return HttpResponse::Text(200, profile.value().ToFolded());
+  return net::HttpResponse::Text(200, profile.value().ToFolded());
 }
 
-HttpResponse AdminPages::Timeseriesz(const HttpRequest& request) {
+net::HttpResponse AdminPages::Timeseriesz(const net::HttpRequest& request) {
   if (health_ == nullptr) {
-    return HttpResponse::Text(503, "health monitor not attached\n");
+    return net::HttpResponse::Text(503, "health monitor not attached\n");
   }
   const health::TimeSeriesStore* store = health_->store();
   const bool coarse = request.Param("tier") == "coarse";
@@ -791,7 +845,7 @@ HttpResponse AdminPages::Timeseriesz(const HttpRequest& request) {
     const std::optional<health::SeriesWindow> window =
         store->Query(metric, coarse);
     if (!window.has_value()) {
-      return HttpResponse::Text(404, "unknown series: " + metric + "\n");
+      return net::HttpResponse::Text(404, "unknown series: " + metric + "\n");
     }
     if (json) {
       JsonValue out = JsonValue::Object();
@@ -808,7 +862,7 @@ HttpResponse AdminPages::Timeseriesz(const HttpRequest& request) {
         values.Append(JsonValue::Number(v));
       }
       out.Set("values", std::move(values));
-      return HttpResponse::Json(out.Dump());
+      return net::HttpResponse::Json(out.Dump());
     }
     std::string body = PageHead("tegra /timeseriesz — " + metric);
     body += NavLinks();
@@ -831,7 +885,7 @@ HttpResponse AdminPages::Timeseriesz(const HttpRequest& request) {
             (coarse ? "&tier=coarse" : "") +
             "&format=json\">json</a></p>\n";
     body += kPageFoot;
-    return HttpResponse::Html(std::move(body));
+    return net::HttpResponse::Html(std::move(body));
   }
 
   const std::vector<std::string> names = store->Names();
@@ -842,7 +896,7 @@ HttpResponse AdminPages::Timeseriesz(const HttpRequest& request) {
     JsonValue arr = JsonValue::Array();
     for (const std::string& name : names) arr.Append(JsonValue::Str(name));
     out.Set("series", std::move(arr));
-    return HttpResponse::Json(out.Dump());
+    return net::HttpResponse::Json(out.Dump());
   }
   std::string body = PageHead("tegra /timeseriesz");
   body += NavLinks();
@@ -868,12 +922,12 @@ HttpResponse AdminPages::Timeseriesz(const HttpRequest& request) {
   }
   body += "</table>\n";
   body += kPageFoot;
-  return HttpResponse::Html(std::move(body));
+  return net::HttpResponse::Html(std::move(body));
 }
 
-HttpResponse AdminPages::Alertz(const HttpRequest& request) {
+net::HttpResponse AdminPages::Alertz(const net::HttpRequest& request) {
   if (health_ == nullptr) {
-    return HttpResponse::Text(503, "health monitor not attached\n");
+    return net::HttpResponse::Text(503, "health monitor not attached\n");
   }
   const std::vector<health::AlertStatus> alerts = health_->slo()->Snapshot();
   const health::Watchdog* watchdog = health_->watchdog();
@@ -897,7 +951,7 @@ HttpResponse AdminPages::Alertz(const HttpRequest& request) {
            JsonValue::Number(static_cast<double>(watchdog->stalls_total())));
     if (stall.has_value()) wd.Set("last_stall", StallToJson(*stall));
     out.Set("watchdog", std::move(wd));
-    return HttpResponse::Json(out.Dump());
+    return net::HttpResponse::Json(out.Dump());
   }
 
   std::string body = PageHead("tegra /alertz");
@@ -943,12 +997,12 @@ HttpResponse AdminPages::Alertz(const HttpRequest& request) {
     }
   }
   body += kPageFoot;
-  return HttpResponse::Html(std::move(body));
+  return net::HttpResponse::Html(std::move(body));
 }
 
-HttpResponse AdminPages::Qosz(const HttpRequest& request) {
+net::HttpResponse AdminPages::Qosz(const net::HttpRequest& request) {
   if (degradation_ == nullptr && quotas_ == nullptr) {
-    return HttpResponse::Text(503, "qos not attached\n");
+    return net::HttpResponse::Text(503, "qos not attached\n");
   }
   // Same monotonic clock the data plane charges the buckets on.
   const double now_seconds =
@@ -1007,7 +1061,7 @@ HttpResponse AdminPages::Qosz(const HttpRequest& request) {
       quota.Set("tenants", std::move(tenants));
       out.Set("quotas", std::move(quota));
     }
-    return HttpResponse::Json(out.Dump());
+    return net::HttpResponse::Json(out.Dump());
   }
 
   std::string body = PageHead("tegra /qosz");
@@ -1082,7 +1136,7 @@ HttpResponse AdminPages::Qosz(const HttpRequest& request) {
   }
 
   body += kPageFoot;
-  return HttpResponse::Html(std::move(body));
+  return net::HttpResponse::Html(std::move(body));
 }
 
 }  // namespace serve

@@ -1,5 +1,6 @@
 // tegra::serve::AdminPages — the standard zPage set served by the HTTP
-// admin plane, wired to the live subsystems of a serving process:
+// admin plane (a net::HttpServer listener named "admin"), wired to the live
+// subsystems of a serving process:
 //
 //   /          index: endpoint directory
 //   /metrics   Prometheus text exposition (scrape-ready; includes the
@@ -34,22 +35,30 @@
 //              ready for a flamegraph tool
 //
 // The pages are plain handler methods over non-owned pointers, so tests can
-// call them directly without sockets, and the daemon can register them on an
-// HttpAdminServer with one RegisterAll call.
+// call them directly without sockets. Handler() routes a request to them by
+// exact path; the daemon installs it on the admin listener with
+// set_handler. The plane is read-only: any method but GET is answered 405.
+// Every page renders in memory and answers on the event loop, except
+// /pprof/profile, which blocks for its capture window and so runs on a
+// thread this object owns (never a ThreadPool worker: the watchdog counts
+// pool tasks as busy time, and a 30 s capture would look like a stall).
 
 #ifndef TEGRA_SERVICE_ADMIN_PAGES_H_
 #define TEGRA_SERVICE_ADMIN_PAGES_H_
 
+#include <atomic>
 #include <functional>
+#include <list>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 
 #include "health/monitor.h"
 #include "net/http_server.h"
 #include "qos/degradation.h"
 #include "qos/token_bucket.h"
 #include "service/extraction_service.h"
-#include "service/http_admin.h"
 #include "service/serve_json.h"
 #include "service/slowlog.h"
 #include "store/corpus_manager.h"
@@ -80,23 +89,30 @@ class AdminPages {
   /// 503 while no corpus generation is resident.
   AdminPages(ExtractionService* service, trace::Tracer* tracer,
              const store::CorpusManager* corpus, AdminPagesOptions options = {});
+  /// Joins any /pprof/profile capture still running.
+  ~AdminPages();
 
-  /// Registers every page on `server`.
-  void RegisterAll(HttpAdminServer* server);
+  AdminPages(const AdminPages&) = delete;
+  AdminPages& operator=(const AdminPages&) = delete;
+
+  /// The admin listener's dispatch handler: GET routes by exact path to the
+  /// pages below; other methods get 405, unknown paths 404 listing every
+  /// endpoint. Borrows `this`, which must outlive the server.
+  net::AsyncHandler Handler();
 
   // Individual handlers, exposed so tests can exercise them socket-free.
-  HttpResponse Index(const HttpRequest& request);
-  HttpResponse Metrics(const HttpRequest& request);
-  HttpResponse Healthz(const HttpRequest& request);
-  HttpResponse Readyz(const HttpRequest& request);
-  HttpResponse Statusz(const HttpRequest& request);
-  HttpResponse Tracez(const HttpRequest& request);
-  HttpResponse Slowlogz(const HttpRequest& request);
-  HttpResponse Varz(const HttpRequest& request);
-  HttpResponse PprofProfile(const HttpRequest& request);
-  HttpResponse Timeseriesz(const HttpRequest& request);
-  HttpResponse Alertz(const HttpRequest& request);
-  HttpResponse Qosz(const HttpRequest& request);
+  net::HttpResponse Index(const net::HttpRequest& request);
+  net::HttpResponse Metrics(const net::HttpRequest& request);
+  net::HttpResponse Healthz(const net::HttpRequest& request);
+  net::HttpResponse Readyz(const net::HttpRequest& request);
+  net::HttpResponse Statusz(const net::HttpRequest& request);
+  net::HttpResponse Tracez(const net::HttpRequest& request);
+  net::HttpResponse Slowlogz(const net::HttpRequest& request);
+  net::HttpResponse Varz(const net::HttpRequest& request);
+  net::HttpResponse PprofProfile(const net::HttpRequest& request);
+  net::HttpResponse Timeseriesz(const net::HttpRequest& request);
+  net::HttpResponse Alertz(const net::HttpRequest& request);
+  net::HttpResponse Qosz(const net::HttpRequest& request);
 
   /// Test hook: substitute the queue-depth probe consulted by /readyz (the
   /// default reads service->QueueDepth()), so saturation is testable
@@ -132,6 +148,10 @@ class AdminPages {
   };
   Readiness CheckReadiness();
 
+  /// Runs PprofProfile on a capture thread and completes `done` from it.
+  void StartProfileCapture(const net::HttpRequest& request,
+                           net::ResponseCallback done);
+
   /// Refreshes corpus gauges (generation, mapped/heap bytes) on `registry`
   /// so /metrics and /varz reflect the current generation at scrape time.
   void RefreshCorpusGauges(MetricsRegistry* registry);
@@ -155,6 +175,13 @@ class AdminPages {
   const qos::TenantQuotas* quotas_ = nullptr;                // Not owned.
   AdminPagesOptions options_;
   std::function<size_t()> queue_depth_fn_;
+
+  struct ProfileCapture {
+    std::thread thread;
+    std::atomic<bool> finished{false};
+  };
+  std::mutex captures_mu_;
+  std::list<ProfileCapture> captures_;  // Guarded by captures_mu_.
 };
 
 /// \brief Renders one recorded span as a JSON object (shared by the daemon's

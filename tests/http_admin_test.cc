@@ -1,30 +1,29 @@
-// Tests for the HTTP admin plane: HttpAdminServer (POSIX HTTP/1.1 listener,
-// routing, shedding, lifecycle) and AdminPages (the zPage set wired to a live
-// ExtractionService). Includes the TSan-relevant concurrency cases: scrapes
-// racing extractions and Stop() racing in-flight requests.
+// Tests for the HTTP admin plane: AdminPages (the zPage set wired to a live
+// ExtractionService) served on a net::HttpServer listener named "admin" —
+// routing, 404/405, the off-loop /pprof/profile capture, metric isolation
+// from the data plane, lifecycle — plus the TSan-relevant concurrency cases:
+// scrapes racing extractions and Stop() racing in-flight requests.
 
-#include "service/http_admin.h"
+#include "service/admin_pages.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
+#include "corpus/column_index.h"
 #include "corpus/corpus_stats.h"
-#include "service/admin_pages.h"
+#include "net/http_client.h"
+#include "net/http_server.h"
 #include "service/extraction_service.h"
 #include "service/serve_json.h"
 #include "store/corpus_manager.h"
 #include "synth/corpus_gen.h"
 #include "trace/trace.h"
-#include "corpus/column_index.h"
 
 namespace tegra {
 namespace serve {
@@ -41,169 +40,106 @@ struct ScopedBindMetrics {
   ~ScopedBindMetrics() { trace::Tracer::Global().BindMetrics(nullptr); }
 };
 
-/// Sends raw bytes to 127.0.0.1:port and returns everything read until EOF —
-/// for exercising the malformed-request paths HttpGet cannot produce.
-std::string RawRequest(int port, const std::string& data) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    return "";
-  }
-  (void)::send(fd, data.data(), data.size(), 0);
-  ::shutdown(fd, SHUT_WR);
-  std::string out;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    out.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return out;
+/// An admin listener on an ephemeral loopback port serving `pages`, named
+/// "admin" as in the daemon. Not started.
+std::unique_ptr<net::HttpServer> MakeAdminServer(
+    AdminPages* pages, MetricsRegistry* registry = nullptr, int port = 0) {
+  net::HttpServerOptions options;
+  options.name = "admin";
+  options.port = port;
+  auto server = std::make_unique<net::HttpServer>(options, registry);
+  server->set_handler(pages->Handler());
+  return server;
+}
+
+uint64_t CounterValue(const MetricsRegistry& registry,
+                      const std::string& name) {
+  const MetricsSnapshot snap = registry.Snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
 }
 
 // ---------------------------------------------------------------------------
-// HttpAdminServer: transport-level behaviour with plain handlers.
+// The admin listener: routing and lifecycle with pages over no subsystems.
 // ---------------------------------------------------------------------------
 
-TEST(HttpAdminServerTest, StartsOnEphemeralPortAndServes) {
-  HttpAdminServer server;
-  server.Handle("/ping", [](const HttpRequest&) {
-    return HttpResponse::Text(200, "pong\n");
-  });
-  ASSERT_TRUE(server.Start().ok());
-  ASSERT_GT(server.port(), 0);
-  EXPECT_TRUE(server.running());
+TEST(AdminListenerTest, StartsOnEphemeralPortAndServes) {
+  AdminPages pages(nullptr, nullptr, nullptr);
+  auto server = MakeAdminServer(&pages);
+  ASSERT_TRUE(server->Start().ok());
+  ASSERT_GT(server->port(), 0);
+  EXPECT_TRUE(server->running());
 
-  const auto result = HttpGet(server.port(), "/ping");
+  const auto result =
+      net::HttpClient("127.0.0.1", server->port()).Get("/healthz");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->status, 200);
-  EXPECT_EQ(result->body, "pong\n");
-  const auto it = result->headers.find("content-type");
-  ASSERT_NE(it, result->headers.end());
-  EXPECT_NE(it->second.find("text/plain"), std::string::npos);
-  server.Stop();
-  EXPECT_FALSE(server.running());
+  EXPECT_EQ(result->body, "ok\n");
+  EXPECT_NE(result->Header("content-type").find("text/plain"),
+            std::string::npos);
+  server->Stop();
+  EXPECT_FALSE(server->running());
+  server->Stop();  // Second Stop is a no-op.
+  EXPECT_FALSE(server->running());
 }
 
-TEST(HttpAdminServerTest, UnknownPathIs404ListingRoutes) {
-  HttpAdminServer server;
-  server.Handle("/known", [](const HttpRequest&) {
-    return HttpResponse::Text(200, "ok");
-  });
-  ASSERT_TRUE(server.Start().ok());
-  const auto result = HttpGet(server.port(), "/nope");
+TEST(AdminListenerTest, UnknownPathIs404ListingEndpoints) {
+  AdminPages pages(nullptr, nullptr, nullptr);
+  auto server = MakeAdminServer(&pages);
+  ASSERT_TRUE(server->Start().ok());
+  const auto result = net::HttpClient("127.0.0.1", server->port()).Get("/nope");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->status, 404);
-  EXPECT_NE(result->body.find("/known"), std::string::npos);
+  EXPECT_NE(result->body.find("/nope"), std::string::npos);
+  for (const char* endpoint : {"/metrics", "/healthz", "/pprof/profile",
+                               "/timeseriesz", "/qosz"}) {
+    EXPECT_NE(result->body.find(endpoint), std::string::npos) << endpoint;
+  }
 }
 
-TEST(HttpAdminServerTest, NonGetMethodsAre405) {
-  HttpAdminServer server;
-  server.Handle("/x", [](const HttpRequest&) {
-    return HttpResponse::Text(200, "ok");
-  });
-  ASSERT_TRUE(server.Start().ok());
-  const std::string response = RawRequest(
-      server.port(),
-      "POST /x HTTP/1.1\r\nHost: localhost\r\nContent-Length: 0\r\n\r\n");
-  EXPECT_NE(response.find("HTTP/1.1 405"), std::string::npos) << response;
-}
-
-TEST(HttpAdminServerTest, MalformedRequestLineIs400) {
-  HttpAdminServer server;
-  server.Handle("/x", [](const HttpRequest&) {
-    return HttpResponse::Text(200, "ok");
-  });
-  ASSERT_TRUE(server.Start().ok());
-  const std::string response =
-      RawRequest(server.port(), "this is not http\r\n\r\n");
-  EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos) << response;
-}
-
-TEST(HttpAdminServerTest, OversizedRequestHeadIs413) {
-  HttpAdminOptions options;
-  options.max_request_bytes = 512;
-  HttpAdminServer server(options);
-  server.Handle("/x", [](const HttpRequest&) {
-    return HttpResponse::Text(200, "ok");
-  });
-  ASSERT_TRUE(server.Start().ok());
-  const std::string response = RawRequest(
-      server.port(), "GET /x HTTP/1.1\r\nX-Pad: " + std::string(4096, 'a') +
-                         "\r\n\r\n");
-  EXPECT_NE(response.find("HTTP/1.1 413"), std::string::npos) << response;
-}
-
-TEST(HttpAdminServerTest, QueryParametersAreDecodedAndDispatched) {
-  HttpAdminServer server;
-  std::string seen_format, seen_q;
-  server.Handle("/page", [&](const HttpRequest& request) {
-    seen_format = request.Param("format", "html");
-    seen_q = request.Param("q");
-    return HttpResponse::Text(200, "format=" + seen_format);
-  });
-  ASSERT_TRUE(server.Start().ok());
+TEST(AdminListenerTest, NonGetMethodsAre405) {
+  AdminPages pages(nullptr, nullptr, nullptr);
+  auto server = MakeAdminServer(&pages);
+  ASSERT_TRUE(server->Start().ok());
   const auto result =
-      HttpGet(server.port(), "/page?format=json&q=a%20b%2Bc");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->status, 200);
-  EXPECT_EQ(seen_format, "json");
-  EXPECT_EQ(seen_q, "a b+c");
-  EXPECT_EQ(result->body, "format=json");
+      net::HttpClient("127.0.0.1", server->port()).Post("/healthz", "");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->status, 405);
 }
 
-TEST(HttpAdminServerTest, PortConflictFailsCleanly) {
-  HttpAdminServer first;
-  first.Handle("/", [](const HttpRequest&) {
-    return HttpResponse::Text(200, "ok");
-  });
-  ASSERT_TRUE(first.Start().ok());
+TEST(AdminListenerTest, PortConflictFailsCleanly) {
+  AdminPages pages(nullptr, nullptr, nullptr);
+  auto first = MakeAdminServer(&pages);
+  ASSERT_TRUE(first->Start().ok());
 
-  HttpAdminOptions options;
-  options.port = first.port();
-  HttpAdminServer second(options);
-  second.Handle("/", [](const HttpRequest&) {
-    return HttpResponse::Text(200, "ok");
-  });
-  const Status status = second.Start();
+  auto second = MakeAdminServer(&pages, nullptr, first->port());
+  const Status status = second->Start();
   EXPECT_FALSE(status.ok());
-  EXPECT_FALSE(second.running());
-}
-
-TEST(HttpAdminServerTest, StopIsIdempotentAndRestartable) {
-  HttpAdminServer server;
-  server.Handle("/", [](const HttpRequest&) {
-    return HttpResponse::Text(200, "ok");
-  });
-  ASSERT_TRUE(server.Start().ok());
-  server.Stop();
-  server.Stop();  // Second Stop is a no-op.
-  EXPECT_FALSE(server.running());
-  // After Stop the port is released and the server can be started again.
-  ASSERT_TRUE(server.Start().ok());
-  const auto result = HttpGet(server.port(), "/");
+  EXPECT_FALSE(second->running());
+  // The failure names the listener's own address, and the first listener
+  // keeps serving.
+  EXPECT_NE(status.ToString().find(std::to_string(first->port())),
+            std::string::npos);
+  const auto result =
+      net::HttpClient("127.0.0.1", first->port()).Get("/healthz");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->status, 200);
-  server.Stop();
 }
 
-TEST(HttpAdminServerTest, ConcurrentClientsAllServed) {
+TEST(AdminListenerTest, StopWithoutStartIsSafe) {
+  AdminPages pages(nullptr, nullptr, nullptr);
+  auto server = MakeAdminServer(&pages);
+  server->Stop();  // Never started; must not crash or hang.
+  EXPECT_FALSE(server->running());
+  EXPECT_EQ(server->port(), -1);
+}
+
+TEST(AdminListenerTest, ConcurrentClientsAllServed) {
   MetricsRegistry registry;
-  HttpAdminOptions options;
-  options.num_handler_threads = 4;
-  HttpAdminServer server(options, &registry);
-  std::atomic<int> handled{0};
-  server.Handle("/work", [&](const HttpRequest&) {
-    handled.fetch_add(1);
-    return HttpResponse::Text(200, "done");
-  });
-  ASSERT_TRUE(server.Start().ok());
+  AdminPages pages(nullptr, nullptr, nullptr);
+  auto server = MakeAdminServer(&pages, &registry);
+  ASSERT_TRUE(server->Start().ok());
+  const int port = server->port();
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10;
@@ -212,25 +148,51 @@ TEST(HttpAdminServerTest, ConcurrentClientsAllServed) {
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
-        const auto result = HttpGet(server.port(), "/work");
+        const auto result = net::HttpClient("127.0.0.1", port).Get("/healthz");
         if (result.ok() && result->status == 200) ok_count.fetch_add(1);
       }
     });
   }
   for (auto& c : clients) c.join();
   EXPECT_EQ(ok_count.load(), kThreads * kPerThread);
-  EXPECT_EQ(handled.load(), kThreads * kPerThread);
-  const MetricsSnapshot snap = registry.Snapshot();
-  const auto it = snap.counters.find("admin.requests_total");
-  ASSERT_NE(it, snap.counters.end());
-  EXPECT_GE(it->second, static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(CounterValue(registry, "admin.requests_total"),
+            static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(CounterValue(registry, "admin.responses_2xx_total"),
+            static_cast<uint64_t>(kThreads * kPerThread));
 }
 
-TEST(HttpAdminServerTest, StopWithoutStartIsSafe) {
-  HttpAdminServer server;
-  server.Stop();  // Never started; must not crash or hang.
-  EXPECT_FALSE(server.running());
-  EXPECT_EQ(server.port(), -1);
+// /healthz must stay answerable while a profile capture blocks for seconds:
+// the capture runs on its own thread, never on the admin event loop.
+TEST(AdminListenerTest, HealthzAnswersDuringProfileCapture) {
+  AdminPages pages(nullptr, nullptr, nullptr);
+  auto server = MakeAdminServer(&pages);
+  ASSERT_TRUE(server->Start().ok());
+  const int port = server->port();
+
+  std::atomic<bool> profile_done{false};
+  int profile_status = 0;
+  std::thread profiler([&] {
+    const auto profile = net::HttpClient("127.0.0.1", port, 30000)
+                             .Get("/pprof/profile?seconds=3");
+    profile_status = profile.ok() ? profile->status : -1;
+    profile_done.store(true);
+  });
+  // Let the capture request reach its thread before probing.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  const auto start = std::chrono::steady_clock::now();
+  const auto healthz = net::HttpClient("127.0.0.1", port).Get("/healthz");
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  const bool capture_in_flight = !profile_done.load();
+  profiler.join();
+
+  ASSERT_TRUE(healthz.ok()) << healthz.status().ToString();
+  EXPECT_EQ(healthz->status, 200);
+  EXPECT_LT(elapsed_s, 1.0);
+  EXPECT_TRUE(capture_in_flight);
+  EXPECT_EQ(profile_status, 200);
 }
 
 // ---------------------------------------------------------------------------
@@ -293,9 +255,8 @@ TEST_F(AdminPagesTest, AllPagesRespondOverSockets) {
   ScopedBindMetrics bind(&registry);
   ExtractionService service(extractor_, {}, &registry);
   AdminPages pages(&service, &trace::Tracer::Global(), manager_);
-  HttpAdminServer server({}, &registry);
-  pages.RegisterAll(&server);
-  ASSERT_TRUE(server.Start().ok());
+  auto server = MakeAdminServer(&pages, &registry);
+  ASSERT_TRUE(server->Start().ok());
 
   // Drive one extraction through so the pages have content to show.
   const ExtractionResponse response = service.SubmitAndWait(MakeRequest());
@@ -305,7 +266,8 @@ TEST_F(AdminPagesTest, AllPagesRespondOverSockets) {
       "/", "/metrics", "/healthz", "/readyz", "/statusz", "/tracez",
       "/slowlogz", "/varz"};
   for (const std::string& endpoint : endpoints) {
-    const auto result = HttpGet(server.port(), endpoint);
+    const auto result =
+        net::HttpClient("127.0.0.1", server->port()).Get(endpoint);
     ASSERT_TRUE(result.ok()) << endpoint << ": " << result.status().ToString();
     EXPECT_EQ(result->status, 200) << endpoint << "\n" << result->body;
     EXPECT_FALSE(result->body.empty()) << endpoint;
@@ -313,7 +275,8 @@ TEST_F(AdminPagesTest, AllPagesRespondOverSockets) {
 
   // /metrics speaks the Prometheus exposition format and carries both the
   // quality histogram and the build-info marker.
-  const auto metrics = HttpGet(server.port(), "/metrics");
+  const auto metrics =
+      net::HttpClient("127.0.0.1", server->port()).Get("/metrics");
   ASSERT_TRUE(metrics.ok());
   const auto ct = metrics->headers.find("content-type");
   ASSERT_NE(ct, metrics->headers.end());
@@ -326,7 +289,7 @@ TEST_F(AdminPagesTest, AllPagesRespondOverSockets) {
             std::string::npos);
 
   // /varz is parseable JSON, self-identifies the build, and carries uptime.
-  const auto varz = HttpGet(server.port(), "/varz");
+  const auto varz = net::HttpClient("127.0.0.1", server->port()).Get("/varz");
   ASSERT_TRUE(varz.ok());
   const auto varz_json = ParseJson(varz->body);
   ASSERT_TRUE(varz_json.ok()) << varz_json.status().ToString();
@@ -334,20 +297,44 @@ TEST_F(AdminPagesTest, AllPagesRespondOverSockets) {
   EXPECT_GT((*varz_json)["gauges"]["process.uptime_seconds"].AsNumber(-1), 0);
 
   // /tracez is loadable Chrome trace JSON.
-  const auto tracez = HttpGet(server.port(), "/tracez");
+  const auto tracez =
+      net::HttpClient("127.0.0.1", server->port()).Get("/tracez");
   ASSERT_TRUE(tracez.ok());
   const auto trace_json = ParseJson(tracez->body);
   ASSERT_TRUE(trace_json.ok()) << trace_json.status().ToString();
   EXPECT_TRUE((*trace_json)["traceEvents"].is_array());
 
   // /slowlogz?format=json renders the shared shape with the sp field.
-  const auto slowlog = HttpGet(server.port(), "/slowlogz?format=json");
+  const auto slowlog =
+      net::HttpClient("127.0.0.1", server->port()).Get("/slowlogz?format=json");
   ASSERT_TRUE(slowlog.ok());
   const auto slow_json = ParseJson(slowlog->body);
   ASSERT_TRUE(slow_json.ok()) << slow_json.status().ToString();
   const auto& records = (*slow_json)["records"].AsArray();
   ASSERT_GE(records.size(), 1u);
   EXPECT_GE(records[0]["sp"].AsNumber(-1), 0) << slowlog->body;
+}
+
+TEST_F(AdminPagesTest, QueryParametersAreDecodedAndDispatched) {
+  MetricsRegistry registry;
+  ExtractionService service(extractor_, {}, &registry);
+  AdminPages pages(&service, &trace::Tracer::Global(), manager_);
+  auto server = MakeAdminServer(&pages, &registry);
+  ASSERT_TRUE(server->Start().ok());
+  net::HttpClient client("127.0.0.1", server->port());
+
+  // "%6Ason" decodes to "json": the page sees the decoded parameter.
+  const auto json = client.Get("/slowlogz?format=%6Ason&x=a%20b");
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  EXPECT_EQ(json->status, 200);
+  EXPECT_NE(json->Header("content-type").find("application/json"),
+            std::string::npos);
+  EXPECT_TRUE(ParseJson(json->body).ok()) << json->body;
+
+  const auto html = client.Get("/slowlogz");
+  ASSERT_TRUE(html.ok());
+  EXPECT_NE(html->Header("content-type").find("text/html"),
+            std::string::npos);
 }
 
 TEST_F(AdminPagesTest, ReadyzReports503WhenQueueSaturated) {
@@ -358,31 +345,31 @@ TEST_F(AdminPagesTest, ReadyzReports503WhenQueueSaturated) {
   AdminPages pages(&service, &trace::Tracer::Global(), manager_);
 
   // Healthy: ready.
-  HttpResponse ready = pages.Readyz(HttpRequest());
+  net::HttpResponse ready = pages.Readyz(net::HttpRequest());
   EXPECT_EQ(ready.status, 200);
 
   // Deterministic saturation via the queue-depth hook: at the threshold the
   // page must flip to 503 and explain itself.
   pages.set_queue_depth_fn([] { return size_t{4}; });
-  ready = pages.Readyz(HttpRequest());
+  ready = pages.Readyz(net::HttpRequest());
   EXPECT_EQ(ready.status, 503);
   EXPECT_NE(ready.body.find("queue saturated"), std::string::npos)
       << ready.body;
 
   pages.set_queue_depth_fn([] { return size_t{3}; });
-  EXPECT_EQ(pages.Readyz(HttpRequest()).status, 200);
+  EXPECT_EQ(pages.Readyz(net::HttpRequest()).status, 200);
 }
 
 TEST_F(AdminPagesTest, ReadyzReports503WithoutServiceOrCorpus) {
   AdminPages no_service(nullptr, nullptr, nullptr);
-  HttpResponse response = no_service.Readyz(HttpRequest());
+  net::HttpResponse response = no_service.Readyz(net::HttpRequest());
   EXPECT_EQ(response.status, 503);
   EXPECT_NE(response.body.find("not attached"), std::string::npos);
 
   MetricsRegistry registry;
   ExtractionService service(extractor_, {}, &registry);
   AdminPages no_corpus(&service, nullptr, nullptr);
-  response = no_corpus.Readyz(HttpRequest());
+  response = no_corpus.Readyz(net::HttpRequest());
   EXPECT_EQ(response.status, 503);
   EXPECT_NE(response.body.find("corpus"), std::string::npos);
 }
@@ -391,9 +378,9 @@ TEST_F(AdminPagesTest, ReadyzReports503DuringShutdown) {
   MetricsRegistry registry;
   auto* service = new ExtractionService(extractor_, {}, &registry);
   AdminPages pages(service, nullptr, manager_);
-  EXPECT_EQ(pages.Readyz(HttpRequest()).status, 200);
+  EXPECT_EQ(pages.Readyz(net::HttpRequest()).status, 200);
   service->Shutdown();
-  HttpResponse response = pages.Readyz(HttpRequest());
+  net::HttpResponse response = pages.Readyz(net::HttpRequest());
   EXPECT_EQ(response.status, 503);
   EXPECT_NE(response.body.find("shutting down"), std::string::npos);
   delete service;
@@ -410,7 +397,7 @@ TEST_F(AdminPagesTest, StatuszShowsBuildCorpusAndQuality) {
   const ExtractionResponse response = service.SubmitAndWait(MakeRequest(1));
   ASSERT_TRUE(response.ok());
 
-  const HttpResponse statusz = pages.Statusz(HttpRequest());
+  const net::HttpResponse statusz = pages.Statusz(net::HttpRequest());
   EXPECT_EQ(statusz.status, 200);
   EXPECT_NE(statusz.content_type.find("text/html"), std::string::npos);
   EXPECT_NE(statusz.body.find("git_sha"), std::string::npos);
@@ -420,7 +407,44 @@ TEST_F(AdminPagesTest, StatuszShowsBuildCorpusAndQuality) {
   EXPECT_NE(statusz.body.find("max_queue_depth"), std::string::npos);
 }
 
-// The TSan case the issue calls out: /metrics scrapes racing extractions.
+// Both listeners record into one registry under their own prefixes: admin
+// traffic must never show up in the data plane's net.* series.
+TEST_F(AdminPagesTest, AdminScrapesLeaveDataPlaneMetricsUnchanged) {
+  MetricsRegistry registry;
+  ExtractionService service(extractor_, {}, &registry);
+  net::HttpServer data_plane(net::HttpServerOptions{}, &registry);
+  data_plane.set_handler(
+      [](const net::HttpRequest&, net::ResponseCallback done) {
+        done(net::HttpResponse::Text(200, "extracted\n"));
+      });
+  ASSERT_TRUE(data_plane.Start().ok());
+  AdminPages pages(&service, &trace::Tracer::Global(), manager_);
+  pages.set_data_plane(&data_plane);
+  auto admin = MakeAdminServer(&pages, &registry);
+  ASSERT_TRUE(admin->Start().ok());
+
+  ASSERT_TRUE(
+      net::HttpClient("127.0.0.1", data_plane.port()).Post("/v1/extract", "{}")
+          .ok());
+  const uint64_t net_before = CounterValue(registry, "net.requests_total");
+  const uint64_t admin_before = CounterValue(registry, "admin.requests_total");
+  EXPECT_EQ(net_before, 1u);
+
+  constexpr int kScrapes = 5;
+  net::HttpClient scraper("127.0.0.1", admin->port());
+  for (int i = 0; i < kScrapes; ++i) {
+    const auto scrape = scraper.Get(i % 2 == 0 ? "/metrics" : "/varz");
+    ASSERT_TRUE(scrape.ok()) << scrape.status().ToString();
+    EXPECT_EQ(scrape->status, 200);
+  }
+  EXPECT_EQ(CounterValue(registry, "net.requests_total"), net_before);
+  EXPECT_EQ(CounterValue(registry, "admin.requests_total"),
+            admin_before + kScrapes);
+  admin->Stop();
+  data_plane.Stop();
+}
+
+// The TSan case: /metrics scrapes racing extractions.
 // Run extraction load on several client threads while a scraper hammers the
 // endpoint; every scrape must return a well-formed 200 and the final counters
 // must be exact.
@@ -431,9 +455,8 @@ TEST_F(AdminPagesTest, ConcurrentScrapesDuringExtractions) {
   service_options.num_workers = 2;
   ExtractionService service(extractor_, service_options, &registry);
   AdminPages pages(&service, &trace::Tracer::Global(), manager_);
-  HttpAdminServer server({}, &registry);
-  pages.RegisterAll(&server);
-  ASSERT_TRUE(server.Start().ok());
+  auto server = MakeAdminServer(&pages, &registry);
+  ASSERT_TRUE(server->Start().ok());
 
   constexpr int kClients = 3;
   constexpr int kRequestsPerClient = 6;
@@ -443,7 +466,8 @@ TEST_F(AdminPagesTest, ConcurrentScrapesDuringExtractions) {
 
   std::thread scraper([&] {
     while (!done.load(std::memory_order_acquire)) {
-      const auto result = HttpGet(server.port(), "/metrics");
+      const auto result =
+          net::HttpClient("127.0.0.1", server->port()).Get("/metrics");
       if (result.ok() && result->status == 200 &&
           result->body.find("tegra_build_info") != std::string::npos) {
         scrapes_ok.fetch_add(1);
@@ -451,7 +475,8 @@ TEST_F(AdminPagesTest, ConcurrentScrapesDuringExtractions) {
         scrapes_bad.fetch_add(1);
       }
       // Also exercise the JSON path, which walks the same histograms.
-      const auto varz = HttpGet(server.port(), "/varz");
+      const auto varz =
+          net::HttpClient("127.0.0.1", server->port()).Get("/varz");
       if (!varz.ok() || varz->status != 200) scrapes_bad.fetch_add(1);
     }
   });
@@ -478,7 +503,8 @@ TEST_F(AdminPagesTest, ConcurrentScrapesDuringExtractions) {
   EXPECT_EQ(scrapes_bad.load(), 0);
 
   // After the dust settles, the scrape totals must be exact, not torn.
-  const auto final_scrape = HttpGet(server.port(), "/metrics");
+  const auto final_scrape =
+      net::HttpClient("127.0.0.1", server->port()).Get("/metrics");
   ASSERT_TRUE(final_scrape.ok());
   // Line-anchored so the "# TYPE ..." comment line cannot match first.
   const std::string needle = "\ntegra_service_completed_total ";
@@ -494,10 +520,9 @@ TEST_F(AdminPagesTest, StopWhileClientsAreFetching) {
   MetricsRegistry registry;
   ExtractionService service(extractor_, {}, &registry);
   AdminPages pages(&service, &trace::Tracer::Global(), manager_);
-  HttpAdminServer server({}, &registry);
-  pages.RegisterAll(&server);
-  ASSERT_TRUE(server.Start().ok());
-  const int port = server.port();
+  auto server = MakeAdminServer(&pages, &registry);
+  ASSERT_TRUE(server->Start().ok());
+  const int port = server->port();
 
   std::atomic<bool> stop_clients{false};
   std::vector<std::thread> clients;
@@ -506,15 +531,16 @@ TEST_F(AdminPagesTest, StopWhileClientsAreFetching) {
       while (!stop_clients.load(std::memory_order_acquire)) {
         // Failures are expected once the server goes down; only liveness
         // matters here.
-        (void)HttpGet(port, "/statusz", /*timeout_ms=*/1000);
+        (void)net::HttpClient("127.0.0.1", port, /*timeout_ms=*/1000)
+            .Get("/statusz");
       }
     });
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  server.Stop();
+  server->Stop();
   stop_clients.store(true, std::memory_order_release);
   for (auto& t : clients) t.join();
-  EXPECT_FALSE(server.running());
+  EXPECT_FALSE(server->running());
 }
 
 }  // namespace

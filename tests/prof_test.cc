@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -366,6 +367,79 @@ TEST(CpuProfilerTest, ThreadPoolStartHookRegistersWorkers) {
   ThreadPool::SetThreadStartHook(nullptr);
   EXPECT_EQ(hook_calls.load(), 3);
 }
+
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
+}  // namespace
+
+// External linkage so the profiler's dladdr symbolizer can name them.
+
+/// Spins until `*stop` with a scratch value in the frame-pointer register,
+/// the state code built without frame pointers can leave a thread in (a
+/// sanitizer's libc interceptor, for one). The function's own frame pointer
+/// is saved on the stack first, as such code does with its caller's.
+__attribute__((noinline)) void ProfTestSpinWithScratchFp(
+    const std::atomic<bool>* stop) {
+  static_assert(sizeof(std::atomic<bool>) == 1, "asm reads one byte");
+  asm volatile(
+      "push %%rbp\n\t"
+      "mov $1, %%rbp\n"
+      "1:\n\t"
+      "pause\n\t"
+      "cmpb $0, (%0)\n\t"
+      "je 1b\n\t"
+      "pop %%rbp"
+      :
+      : "r"(stop)
+      : "memory", "cc");
+}
+__attribute__((noinline)) void ProfTestParkedCaller(
+    const std::atomic<bool>* stop) {
+  ProfTestSpinWithScratchFp(stop);
+  asm volatile("");  // Not a tail call: this frame stays on the stack.
+}
+__attribute__((noinline)) void ProfTestParkedOuter(
+    const std::atomic<bool>* stop) {
+  ProfTestParkedCaller(stop);
+  asm volatile("");
+}
+
+namespace {
+
+// A directed capture must walk past a frame-pointer register holding a
+// scratch value by resuming from the frame pointer saved on the stack.
+// (ThreadSanitizer delivers the signal only at an intercepted call, which
+// the asm spin never makes, hence the guard above.)
+TEST(CpuProfilerTest, StackWalkRecoversFromScratchFramePointer) {
+  std::atomic<bool> stop{false};
+  std::atomic<bool> registered{false};
+  std::thread parked([&] {
+    EnsureThreadRegistered("scratch-fp");
+    registered.store(true);
+    ProfTestParkedOuter(&stop);
+    asm volatile("");
+  });
+  while (!registered.load()) std::this_thread::yield();
+  int tid = 0;
+  for (const RegisteredThread& t : RegisteredThreads()) {
+    if (t.name == "scratch-fp") tid = t.tid;
+  }
+  ASSERT_GT(tid, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const Result<std::string> stack = CaptureThreadStack(tid, 2000);
+  stop.store(true);
+  parked.join();
+
+  // The leaf is the interrupted PC. ProfTestParkedCaller's return address
+  // sits below the saved frame pointer the walk resumes from, so it is one
+  // of the frames in between that the recovery gives up; every frame above
+  // it must be there.
+  ASSERT_TRUE(stack.ok()) << stack.status().ToString();
+  EXPECT_NE(stack->find("ProfTestSpinWithScratchFp"), std::string::npos)
+      << *stack;
+  EXPECT_NE(stack->find("ProfTestParkedOuter"), std::string::npos) << *stack;
+}
+#endif  // __x86_64__ && !__SANITIZE_THREAD__
 
 // ---- runtime stats ---------------------------------------------------------
 

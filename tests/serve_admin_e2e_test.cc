@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "net/http_client.h"
 #include "serve_process_util.h"
-#include "service/http_admin.h"
 #include "service/serve_json.h"
 
 namespace tegra {
@@ -64,7 +64,7 @@ TEST(ServeAdminE2eTest, FullAdminPlaneAgainstRealDaemon) {
       {"/varz", "\"build\""},
   };
   for (const Endpoint& endpoint : endpoints) {
-    const auto result = HttpGet(port, endpoint.path);
+    const auto result = net::HttpClient("127.0.0.1", port).Get(endpoint.path);
     ASSERT_TRUE(result.ok())
         << endpoint.path << ": " << result.status().ToString();
     EXPECT_EQ(result->status, 200) << endpoint.path << "\n" << result->body;
@@ -75,7 +75,7 @@ TEST(ServeAdminE2eTest, FullAdminPlaneAgainstRealDaemon) {
 
   // 4. The quality histogram and build info appear in a real scrape, with
   //    the extraction from step 2 counted.
-  const auto scrape = HttpGet(port, "/metrics");
+  const auto scrape = net::HttpClient("127.0.0.1", port).Get("/metrics");
   ASSERT_TRUE(scrape.ok());
   const auto scrape_ct = scrape->headers.find("content-type");
   ASSERT_NE(scrape_ct, scrape->headers.end());
@@ -89,7 +89,8 @@ TEST(ServeAdminE2eTest, FullAdminPlaneAgainstRealDaemon) {
             std::string::npos);
 
   // 5. /slowlogz?format=json carries the per-request sp score.
-  const auto slowlog = HttpGet(port, "/slowlogz?format=json");
+  const auto slowlog =
+      net::HttpClient("127.0.0.1", port).Get("/slowlogz?format=json");
   ASSERT_TRUE(slowlog.ok());
   const auto slow_json = ParseJson(slowlog->body);
   ASSERT_TRUE(slow_json.ok()) << slowlog->body;
@@ -110,7 +111,7 @@ TEST(ServeAdminE2eTest, FullAdminPlaneAgainstRealDaemon) {
           ExtractionRequestLine(request_id, 64, request_id % 8)));
     }
     for (int poll = 0; poll < 20 && !saw_unready; ++poll) {
-      const auto readyz = HttpGet(port, "/readyz");
+      const auto readyz = net::HttpClient("127.0.0.1", port).Get("/readyz");
       if (!readyz.ok()) break;
       last_readyz = readyz->body;
       if (readyz->status == 503) {
@@ -129,7 +130,8 @@ TEST(ServeAdminE2eTest, FullAdminPlaneAgainstRealDaemon) {
   EXPECT_EQ(daemon.Wait(), 0);
 
   // 7. After shutdown the admin plane is gone: probes fail at connect.
-  const auto after = HttpGet(port, "/healthz", /*timeout_ms=*/1000);
+  const auto after =
+      net::HttpClient("127.0.0.1", port, /*timeout_ms=*/1000).Get("/healthz");
   EXPECT_FALSE(after.ok() && after->status == 200);
 }
 

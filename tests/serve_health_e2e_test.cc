@@ -29,7 +29,6 @@
 
 #include "net/http_client.h"
 #include "serve_process_util.h"
-#include "service/http_admin.h"
 #include "service/serve_json.h"
 
 namespace tegra {
@@ -92,7 +91,9 @@ TEST(ServeHealthE2eTest, TimeseriesRecordServedTraffic) {
   // so traffic sent before the baseline sample would be absorbed by it.
   ASSERT_TRUE(PollUntil(
       [&] {
-        const auto response = HttpGet(ports.admin, "/timeseriesz?format=json");
+        const auto response =
+            net::HttpClient("127.0.0.1", ports.admin)
+                .Get("/timeseriesz?format=json");
         if (!response.ok() || response->status != 200) return false;
         const auto parsed = ParseJson(response->body);
         return parsed.ok() && (*parsed)["ticks"].AsNumber(0) >= 1;
@@ -113,9 +114,9 @@ TEST(ServeHealthE2eTest, TimeseriesRecordServedTraffic) {
   double sum = 0;
   const bool recorded = PollUntil(
       [&] {
-        const auto response = HttpGet(
-            ports.admin,
-            "/timeseriesz?metric=service.requests_total&format=json");
+        const auto response =
+            net::HttpClient("127.0.0.1", ports.admin)
+                .Get("/timeseriesz?metric=service.requests_total&format=json");
         if (!response.ok() || response->status != 200) return false;
         const auto parsed = ParseJson(response->body);
         if (!parsed.ok()) return false;
@@ -131,7 +132,8 @@ TEST(ServeHealthE2eTest, TimeseriesRecordServedTraffic) {
   EXPECT_TRUE(recorded) << "series sum " << sum;
 
   // The index lists a healthy population of derived series.
-  const auto index = HttpGet(ports.admin, "/timeseriesz?format=json");
+  const auto index =
+      net::HttpClient("127.0.0.1", ports.admin).Get("/timeseriesz?format=json");
   ASSERT_TRUE(index.ok());
   EXPECT_EQ(index->status, 200);
   const auto index_json = ParseJson(index->body);
@@ -140,19 +142,22 @@ TEST(ServeHealthE2eTest, TimeseriesRecordServedTraffic) {
   EXPECT_GT((*index_json)["ticks"].AsNumber(0), 0.0);
 
   // The coarse tier answers too (empty so early in the run, but queryable).
-  const auto coarse = HttpGet(
-      ports.admin,
-      "/timeseriesz?metric=service.requests_total&tier=coarse&format=json");
+  const auto coarse =
+      net::HttpClient("127.0.0.1", ports.admin)
+          .Get("/timeseriesz?metric=service.requests_total&tier=coarse"
+               "&format=json");
   ASSERT_TRUE(coarse.ok());
   EXPECT_EQ(coarse->status, 200);
 
   // Unknown metrics are a clean 404, not an empty series.
-  const auto missing = HttpGet(ports.admin, "/timeseriesz?metric=no.such");
+  const auto missing =
+      net::HttpClient("127.0.0.1", ports.admin)
+          .Get("/timeseriesz?metric=no.such");
   ASSERT_TRUE(missing.ok());
   EXPECT_EQ(missing->status, 404);
 
   // Satellite: uptime + recorder staleness ride along on /varz.
-  const auto varz = HttpGet(ports.admin, "/varz");
+  const auto varz = net::HttpClient("127.0.0.1", ports.admin).Get("/varz");
   ASSERT_TRUE(varz.ok());
   const auto varz_json = ParseJson(varz->body);
   ASSERT_TRUE(varz_json.ok());
@@ -221,7 +226,9 @@ TEST(ServeHealthE2eTest, OverloadFiresAvailabilityAlertAndDegradesReadyz) {
         for (int i = 0; i < 10; ++i) {
           (void)client.Post("/v1/extract", expired_request(i));
         }
-        const auto response = HttpGet(ports.admin, "/alertz?format=json");
+        const auto response =
+            net::HttpClient("127.0.0.1", ports.admin)
+                .Get("/alertz?format=json");
         if (!response.ok() || response->status != 200) return false;
         alertz_body = response->body;
         const auto parsed = ParseJson(response->body);
@@ -240,7 +247,7 @@ TEST(ServeHealthE2eTest, OverloadFiresAvailabilityAlertAndDegradesReadyz) {
 
   // Degraded-but-ready: /readyz stays 200 (draining would remove the very
   // capacity needed to recover) but names the firing alert.
-  const auto readyz = HttpGet(ports.admin, "/readyz");
+  const auto readyz = net::HttpClient("127.0.0.1", ports.admin).Get("/readyz");
   ASSERT_TRUE(readyz.ok());
   EXPECT_EQ(readyz->status, 200);
   EXPECT_NE(readyz->body.find("degraded"), std::string::npos) << readyz->body;
@@ -248,7 +255,7 @@ TEST(ServeHealthE2eTest, OverloadFiresAvailabilityAlertAndDegradesReadyz) {
       << readyz->body;
 
   // The firing count is a scrapeable gauge.
-  const auto varz = HttpGet(ports.admin, "/varz");
+  const auto varz = net::HttpClient("127.0.0.1", ports.admin).Get("/varz");
   ASSERT_TRUE(varz.ok());
   const auto varz_json = ParseJson(varz->body);
   ASSERT_TRUE(varz_json.ok());
@@ -269,7 +276,8 @@ TEST(ServeHealthE2eTest, InjectedStallTripsWatchdogOnceWithTegraStack) {
   ASSERT_GT(ports.admin, 0);
 
   // Healthy liveness before the fault.
-  const auto healthz_before = HttpGet(ports.admin, "/healthz");
+  const auto healthz_before =
+      net::HttpClient("127.0.0.1", ports.admin).Get("/healthz");
   ASSERT_TRUE(healthz_before.ok());
   EXPECT_EQ(healthz_before->status, 200);
   EXPECT_NE(healthz_before->body.find("stalled=false"), std::string::npos);
@@ -285,7 +293,8 @@ TEST(ServeHealthE2eTest, InjectedStallTripsWatchdogOnceWithTegraStack) {
   // While the worker is wedged, liveness must report it: 503 stalled=true.
   const bool went_stalled = PollUntil(
       [&] {
-        const auto response = HttpGet(ports.admin, "/healthz");
+        const auto response =
+            net::HttpClient("127.0.0.1", ports.admin).Get("/healthz");
         return response.ok() && response->status == 503 &&
                response->body.find("stalled=true") != std::string::npos;
       },
@@ -295,7 +304,8 @@ TEST(ServeHealthE2eTest, InjectedStallTripsWatchdogOnceWithTegraStack) {
   // The episode ends; liveness recovers.
   const bool recovered = PollUntil(
       [&] {
-        const auto response = HttpGet(ports.admin, "/healthz");
+        const auto response =
+            net::HttpClient("127.0.0.1", ports.admin).Get("/healthz");
         return response.ok() && response->status == 200 &&
                response->body.find("stalled=false") != std::string::npos;
       },
@@ -303,7 +313,8 @@ TEST(ServeHealthE2eTest, InjectedStallTripsWatchdogOnceWithTegraStack) {
   EXPECT_TRUE(recovered);
 
   // Exactly one stall episode, carrying a folded stack through tegra frames.
-  const auto alertz = HttpGet(ports.admin, "/alertz?format=json");
+  const auto alertz =
+      net::HttpClient("127.0.0.1", ports.admin).Get("/alertz?format=json");
   ASSERT_TRUE(alertz.ok());
   const auto alertz_json = ParseJson(alertz->body);
   ASSERT_TRUE(alertz_json.ok()) << alertz->body;
@@ -319,7 +330,7 @@ TEST(ServeHealthE2eTest, InjectedStallTripsWatchdogOnceWithTegraStack) {
 
   // The probe request itself completed: a stall detection never fails
   // in-flight work.
-  const auto varz = HttpGet(ports.admin, "/varz");
+  const auto varz = net::HttpClient("127.0.0.1", ports.admin).Get("/varz");
   ASSERT_TRUE(varz.ok());
   const auto varz_json = ParseJson(varz->body);
   ASSERT_TRUE(varz_json.ok());
@@ -348,18 +359,21 @@ TEST(ServeHealthE2eTest, HealthDisabledServesPagesEmpty) {
   const ReadyPorts ports = ReadReadyEvents(&daemon);
   ASSERT_GT(ports.admin, 0);
 
-  const auto index = HttpGet(ports.admin, "/timeseriesz?format=json");
+  const auto index =
+      net::HttpClient("127.0.0.1", ports.admin).Get("/timeseriesz?format=json");
   ASSERT_TRUE(index.ok());
   EXPECT_EQ(index->status, 200);
   const auto parsed = ParseJson(index->body);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ((*parsed)["ticks"].AsNumber(-1), 0.0);
 
-  const auto alertz = HttpGet(ports.admin, "/alertz?format=json");
+  const auto alertz =
+      net::HttpClient("127.0.0.1", ports.admin).Get("/alertz?format=json");
   ASSERT_TRUE(alertz.ok());
   EXPECT_EQ(alertz->status, 200);
 
-  const auto healthz = HttpGet(ports.admin, "/healthz");
+  const auto healthz =
+      net::HttpClient("127.0.0.1", ports.admin).Get("/healthz");
   ASSERT_TRUE(healthz.ok());
   EXPECT_EQ(healthz->status, 200);
 

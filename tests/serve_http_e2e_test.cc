@@ -28,7 +28,6 @@
 
 #include "net/http_client.h"
 #include "serve_process_util.h"
-#include "service/http_admin.h"
 #include "service/serve_json.h"
 #include "store/snapshot_writer.h"
 #include "synth/corpus_gen.h"
@@ -134,7 +133,7 @@ TEST(ServeHttpE2eTest, ConcurrentKeepAliveClientsSurviveCorpusReload) {
       << extra_connects.load() << " clients needed a reconnect";
 
   // The reloads actually happened (generation climbed past the initial 1).
-  const auto varz = HttpGet(ports.admin, "/varz");
+  const auto varz = net::HttpClient("127.0.0.1", ports.admin).Get("/varz");
   ASSERT_TRUE(varz.ok()) << varz.status().ToString();
   const auto parsed = ParseJson(varz->body);
   ASSERT_TRUE(parsed.ok());
@@ -319,7 +318,7 @@ TEST(ServeHttpE2eTest, ReadyzReportsDataPlaneSaturation) {
   ASSERT_GT(ports.admin, 0);
 
   // Ready while the one connection slot is free.
-  auto ready = HttpGet(ports.admin, "/readyz");
+  auto ready = net::HttpClient("127.0.0.1", ports.admin).Get("/readyz");
   ASSERT_TRUE(ready.ok()) << ready.status().ToString();
   EXPECT_EQ(ready->status, 200) << ready->body;
 
@@ -327,14 +326,14 @@ TEST(ServeHttpE2eTest, ReadyzReportsDataPlaneSaturation) {
   // and /readyz must say so (load balancers drain on this).
   net::HttpClient holder("127.0.0.1", ports.data, /*timeout_ms=*/30000);
   ASSERT_TRUE(holder.Post("/v1/extract", ExtractionRequestLine(1, 4, 0)).ok());
-  auto saturated = HttpGet(ports.admin, "/readyz");
+  auto saturated = net::HttpClient("127.0.0.1", ports.admin).Get("/readyz");
   ASSERT_TRUE(saturated.ok()) << saturated.status().ToString();
   EXPECT_EQ(saturated->status, 503) << saturated->body;
   EXPECT_NE(saturated->body.find("data plane"), std::string::npos)
       << saturated->body;
 
   // And /statusz renders the data-plane section.
-  auto statusz = HttpGet(ports.admin, "/statusz");
+  auto statusz = net::HttpClient("127.0.0.1", ports.admin).Get("/statusz");
   ASSERT_TRUE(statusz.ok());
   EXPECT_NE(statusz->body.find("data plane"), std::string::npos);
 

@@ -31,7 +31,6 @@
 
 #include "net/http_client.h"
 #include "serve_process_util.h"
-#include "service/http_admin.h"
 #include "service/serve_json.h"
 #include "trace/trace.h"
 
@@ -122,7 +121,8 @@ TEST(ServeProfE2eTest, ProfileUnderLoadHasNonEmptyTegraStacks) {
   }
 
   const auto profile =
-      HttpGet(ports.admin, "/pprof/profile?seconds=1.5", /*timeout_ms=*/30000);
+      net::HttpClient("127.0.0.1", ports.admin, /*timeout_ms=*/30000)
+          .Get("/pprof/profile?seconds=1.5");
   stop.store(true);
   for (auto& client : clients) client.join();
 
@@ -269,14 +269,16 @@ TEST(ServeProfE2eTest, ExemplarTraceIdResolvesInSlowlog) {
   }
 
   // Default format stays classic Prometheus: no exemplar syntax, no EOF.
-  const auto classic = HttpGet(ports.admin, "/metrics");
+  const auto classic =
+      net::HttpClient("127.0.0.1", ports.admin).Get("/metrics");
   ASSERT_TRUE(classic.ok());
   EXPECT_NE(classic->headers.at("content-type").find("version=0.0.4"),
             std::string::npos);
   EXPECT_EQ(classic->body.find("# {trace_id="), std::string::npos);
 
   const auto openmetrics =
-      HttpGet(ports.admin, "/metrics?format=openmetrics");
+      net::HttpClient("127.0.0.1", ports.admin)
+          .Get("/metrics?format=openmetrics");
   ASSERT_TRUE(openmetrics.ok());
   EXPECT_EQ(openmetrics->status, 200);
   EXPECT_NE(
@@ -298,7 +300,8 @@ TEST(ServeProfE2eTest, ExemplarTraceIdResolvesInSlowlog) {
         << "no exemplars in OpenMetrics exposition:\n" << body;
 
     // Every request is in the slowlog; at least one exemplar must join.
-    const auto slowlog = HttpGet(ports.admin, "/slowlogz?format=json");
+    const auto slowlog =
+        net::HttpClient("127.0.0.1", ports.admin).Get("/slowlogz?format=json");
     ASSERT_TRUE(slowlog.ok());
     const auto parsed = ParseJson(slowlog->body);
     ASSERT_TRUE(parsed.ok());
@@ -319,7 +322,7 @@ TEST(ServeProfE2eTest, ExemplarTraceIdResolvesInSlowlog) {
   }
 
   // Satellite: the span-ring counters are scrapeable gauges on /varz.
-  const auto varz = HttpGet(ports.admin, "/varz");
+  const auto varz = net::HttpClient("127.0.0.1", ports.admin).Get("/varz");
   ASSERT_TRUE(varz.ok());
   const auto varz_json = ParseJson(varz->body);
   ASSERT_TRUE(varz_json.ok());

@@ -18,7 +18,6 @@
 
 #include "net/http_client.h"
 #include "serve_process_util.h"
-#include "service/http_admin.h"
 #include "service/serve_json.h"
 
 namespace tegra {
@@ -134,7 +133,8 @@ TEST(ServeQosE2eTest, OverloadDegradesQualityNotAvailability) {
       << max_rung_seen.load() << ")";
 
   // The controller's own account of the episode, via the admin plane.
-  const auto qosz = HttpGet(ports.admin, "/qosz?format=json");
+  const auto qosz =
+      net::HttpClient("127.0.0.1", ports.admin).Get("/qosz?format=json");
   ASSERT_TRUE(qosz.ok()) << qosz.status().ToString();
   ASSERT_EQ(qosz->status, 200) << qosz->body;
   const auto parsed = ParseJson(qosz->body);
@@ -212,7 +212,8 @@ TEST(ServeQosE2eTest, QuotaRejectsAbusiveTenantOnly) {
   }
 
   // /qosz knows both buckets and who was rejected.
-  const auto qosz = HttpGet(ports.admin, "/qosz?format=json");
+  const auto qosz =
+      net::HttpClient("127.0.0.1", ports.admin).Get("/qosz?format=json");
   ASSERT_TRUE(qosz.ok());
   ASSERT_EQ(qosz->status, 200);
   const auto parsed = ParseJson(qosz->body);
@@ -260,7 +261,7 @@ TEST(ServeQosE2eTest, QosOffBehavesLikeLegacyBuild) {
   ASSERT_TRUE(with_header.ok());
   EXPECT_EQ(with_header.value().status, 200);
 
-  const auto qosz = HttpGet(ports.admin, "/qosz");
+  const auto qosz = net::HttpClient("127.0.0.1", ports.admin).Get("/qosz");
   ASSERT_TRUE(qosz.ok());
   EXPECT_EQ(qosz->status, 503) << "qosz should not be attached when qos is off";
 

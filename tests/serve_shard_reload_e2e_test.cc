@@ -23,8 +23,8 @@
 
 #include "common/file_util.h"
 #include "corpus/column_index.h"
+#include "net/http_client.h"
 #include "serve_process_util.h"
-#include "service/http_admin.h"
 #include "service/serve_json.h"
 #include "shard/shard_builder.h"
 #include "store/manifest.h"
@@ -61,7 +61,7 @@ void BuildShardedOrDie(const std::string& dir,
 }
 
 double VarzGauge(int port, const std::string& name) {
-  const auto varz = HttpGet(port, "/varz");
+  const auto varz = net::HttpClient("127.0.0.1", port).Get("/varz");
   if (!varz.ok() || varz->status != 200) return -1;
   const auto parsed = ParseJson(varz->body);
   if (!parsed.ok()) return -1;

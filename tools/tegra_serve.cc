@@ -104,13 +104,13 @@
 #include "prof/wide_event.h"
 #include "corpus/corpus_io.h"
 #include "corpus/corpus_stats.h"
+#include "net/http_server.h"
 #include "qos/degradation.h"
 #include "qos/token_bucket.h"
 #include "service/admin_pages.h"
 #include "service/data_plane.h"
 #include "service/extraction_service.h"
 #include "service/extractor_source.h"
-#include "service/http_admin.h"
 #include "service/serve_json.h"
 #include "store/corpus_manager.h"
 #include "synth/corpus_gen.h"
@@ -995,11 +995,19 @@ int main(int argc, char** argv) {
     // /readyz reports data-plane saturation; /statusz gains its stats table.
     pages.set_data_plane(&plane.server());
   }
-  tegra::serve::HttpAdminOptions admin_options;
+  // The admin plane is a second net::HttpServer listener; its metrics are
+  // admin.* so they never mix with the data plane's net.* series. The
+  // connection cap and the 16 KiB framing limits bound what probes,
+  // scrapers and browsers can pin.
+  tegra::net::HttpServerOptions admin_options;
+  admin_options.name = "admin";
   admin_options.port = opts.admin_port < 0 ? 0 : opts.admin_port;
   admin_options.bind_address = opts.admin_bind;
-  tegra::serve::HttpAdminServer admin(admin_options, &registry);
-  pages.RegisterAll(&admin);
+  admin_options.max_connections = 32;
+  admin_options.limits.max_head_bytes = 16384;
+  admin_options.limits.max_body_bytes = 16384;
+  tegra::net::HttpServer admin(admin_options, &registry);
+  admin.set_handler(pages.Handler());
   if (opts.admin_port >= 0) {
     const tegra::Status started = admin.Start();
     if (!started.ok()) {
