@@ -1,11 +1,12 @@
 // bench_store — the heap-vs-mmap corpus representation benchmark behind
-// docs/STORAGE.md:
+// docs/STORAGE.md: the in-memory build-side ColumnIndex against the
+// MmapCorpus serving its TGRAIDX2 snapshot.
 //
-//   * publish cost      EncodeSnapshot + atomic write, v1 vs v2 bytes
-//   * open latency      LoadColumnIndex (full heap parse) vs MmapCorpus::Open
-//                       (header + section-table validation only)
-//   * memory            process RSS delta attributable to each open, plus
-//                       the views' own HeapBytes / MappedBytes accounting
+//   * publish cost      EncodeSnapshot + atomic write
+//   * open latency      MmapCorpus::Open (header + section-table validation
+//                       only)
+//   * memory            process RSS delta of the build vs the open, plus the
+//                       views' own HeapBytes / MappedBytes accounting
 //   * query throughput  Lookup and CoOccurrenceCount over identical pair
 //                       workloads, with a cross-checked hit total so the two
 //                       representations provably answered the same queries
@@ -26,7 +27,6 @@
 #include <vector>
 
 #include "corpus/column_index.h"
-#include "corpus/corpus_io.h"
 #include "corpus/corpus_view.h"
 #include "store/mmap_corpus.h"
 #include "store/snapshot_writer.h"
@@ -112,55 +112,45 @@ QueryResult RunQueries(const tegra::CorpusView& view,
 
 void BenchScale(size_t tables) {
   std::printf("=== %zu tables ===\n", tables);
-  const std::string v1_path =
-      "/tmp/bench_store_" + std::to_string(tables) + ".idx";
-  const std::string v2_path = v1_path + "2";
+  const std::string path =
+      "/tmp/bench_store_" + std::to_string(tables) + ".idx2";
 
+  // The heap index's RSS is what the build leaves resident; the snapshot's
+  // is what the open maps in (only the header + section table are read).
+  const size_t rss_before_build = RssKib();
   Clock::time_point start = Clock::now();
-  const tegra::ColumnIndex built = tegra::synth::BuildBackgroundIndex(
+  const tegra::ColumnIndex heap = tegra::synth::BuildBackgroundIndex(
       tegra::synth::CorpusProfile::kWeb, tables, /*seed=*/1);
   std::printf("build            %8.1f ms  (%llu columns, %zu values)\n",
               MsSince(start),
-              static_cast<unsigned long long>(built.TotalColumns()),
-              built.NumValues());
+              static_cast<unsigned long long>(heap.TotalColumns()),
+              heap.NumValues());
+  const size_t rss_after_build = RssKib();
 
   start = Clock::now();
-  if (!tegra::SaveColumnIndex(built, v1_path).ok()) std::abort();
-  const double v1_save_ms = MsSince(start);
-  start = Clock::now();
-  if (!tegra::store::WriteSnapshot(built, v2_path).ok()) std::abort();
-  const double v2_save_ms = MsSince(start);
+  if (!tegra::store::WriteSnapshot(heap, path).ok()) std::abort();
+  const double save_ms = MsSince(start);
 
-  // Open latency + RSS delta. v1 materializes the whole index on the heap;
-  // v2 maps the file and reads only the header + section table.
-  const size_t rss_before_v1 = RssKib();
+  const size_t rss_before_open = RssKib();
   start = Clock::now();
-  auto heap = tegra::LoadColumnIndex(v1_path);
-  const double v1_open_ms = MsSince(start);
-  if (!heap.ok()) std::abort();
-  const size_t rss_after_v1 = RssKib();
-
-  start = Clock::now();
-  auto mapped = tegra::store::MmapCorpus::Open(v2_path);
-  const double v2_open_ms = MsSince(start);
+  auto mapped = tegra::store::MmapCorpus::Open(path);
+  const double open_ms = MsSince(start);
   if (!mapped.ok()) std::abort();
-  const size_t rss_after_v2 = RssKib();
+  const size_t rss_after_open = RssKib();
 
-  std::printf("publish          v1 %6.1f ms   v2 %6.1f ms\n", v1_save_ms,
-              v2_save_ms);
-  std::printf("open             v1 %8.3f ms   v2 %8.3f ms   (speedup %.0fx)\n",
-              v1_open_ms, v2_open_ms,
-              v2_open_ms > 0 ? v1_open_ms / v2_open_ms : 0.0);
-  std::printf("open RSS delta   v1 %6zu KiB  v2 %6zu KiB\n",
-              rss_after_v1 - rss_before_v1, rss_after_v2 - rss_after_v1);
-  std::printf("view accounting  v1 heap %6.1f MiB   v2 heap %zu B"
+  std::printf("publish          %8.1f ms\n", save_ms);
+  std::printf("open             %8.3f ms\n", open_ms);
+  std::printf("RSS delta        heap build %6zu KiB  mmap open %6zu KiB\n",
+              rss_after_build - rss_before_build,
+              rss_after_open - rss_before_open);
+  std::printf("view accounting  heap %6.1f MiB   mmap heap %zu B"
               " + mapped %.1f MiB\n",
-              static_cast<double>(heap->HeapBytes()) / (1 << 20),
+              static_cast<double>(heap.HeapBytes()) / (1 << 20),
               (*mapped)->HeapBytes(),
               static_cast<double>((*mapped)->MappedBytes()) / (1 << 20));
 
   // Query throughput over an identical pair workload.
-  std::vector<tegra::ValueId> by_count(heap->NumValues());
+  std::vector<tegra::ValueId> by_count(heap.NumValues());
   for (size_t i = 0; i < by_count.size(); ++i) {
     by_count[i] = static_cast<tegra::ValueId>(i);
   }
@@ -168,27 +158,27 @@ void BenchScale(size_t tables) {
                     by_count.begin() + std::min<size_t>(24, by_count.size()),
                     by_count.end(),
                     [&](tegra::ValueId a, tegra::ValueId b) {
-                      return heap->ColumnCount(a) > heap->ColumnCount(b);
+                      return heap.ColumnCount(a) > heap.ColumnCount(b);
                     });
   std::vector<std::string> popular;
   for (size_t i = 0; i < std::min<size_t>(24, by_count.size()); ++i) {
-    popular.push_back(heap->ValueString(by_count[i]));
+    popular.push_back(heap.ValueString(by_count[i]));
   }
   std::mt19937 rng(7);
-  std::uniform_int_distribution<size_t> pick(0, heap->NumValues() - 1);
+  std::uniform_int_distribution<size_t> pick(0, heap.NumValues() - 1);
   std::vector<std::string> random_values;
   for (int i = 0; i < 40; ++i) {
     random_values.push_back(
-        heap->ValueString(static_cast<tegra::ValueId>(pick(rng))));
+        heap.ValueString(static_cast<tegra::ValueId>(pick(rng))));
   }
 
   const PairWorkload heap_work =
-      BuildWorkload(*heap, popular, random_values);
+      BuildWorkload(heap, popular, random_values);
   const PairWorkload mmap_work =
       BuildWorkload(**mapped, popular, random_values);
   const int rounds = 200;
   const QueryResult heap_result =
-      RunQueries(*heap, heap_work, random_values, rounds);
+      RunQueries(heap, heap_work, random_values, rounds);
   const QueryResult mmap_result =
       RunQueries(**mapped, mmap_work, random_values, rounds);
   if (heap_result.hit_total != mmap_result.hit_total) {
@@ -199,23 +189,23 @@ void BenchScale(size_t tables) {
     std::abort();
   }
   const double ops = static_cast<double>(heap_work.pairs.size()) * rounds;
-  std::printf("intersections    v1 %7.2f Mops/s   v2 %7.2f Mops/s"
+  std::printf("intersections    heap %7.2f Mops/s   mmap %7.2f Mops/s"
               "   (hit checksum %llu)\n",
               ops / heap_result.co_ms / 1e3, ops / mmap_result.co_ms / 1e3,
               static_cast<unsigned long long>(heap_result.hit_total));
   const double lookups = static_cast<double>(random_values.size()) * rounds;
-  std::printf("lookups          v1 %7.2f Mops/s   v2 %7.2f Mops/s\n",
+  std::printf("lookups          heap %7.2f Mops/s   mmap %7.2f Mops/s\n",
               lookups / heap_result.lookup_ms / 1e3,
               lookups / mmap_result.lookup_ms / 1e3);
 
   if (tables >= 28000) {
     std::printf("acceptance       mmap open %.3f ms %s 50 ms budget\n",
-                v2_open_ms, v2_open_ms < 50.0 ? "<" : ">=");
-    if (v2_open_ms >= 50.0) std::abort();
+                open_ms, open_ms < 50.0 ? "<" : ">=");
+    if (open_ms >= 50.0) std::abort();
   }
   std::printf("\n");
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  mapped.value().reset();
+  std::remove(path.c_str());
 }
 
 }  // namespace

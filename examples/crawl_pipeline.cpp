@@ -1,33 +1,31 @@
 // An end-to-end offline pipeline in the style the paper deploys (§5.7): take
 // a raw crawl of HTML lists, pre-filter junk (navigation chrome, prose,
 // fragments), segment the survivors with TEGRA, keep tables whose objective
-// score indicates good relational content, and persist the background index
-// for reuse.
+// score indicates good relational content, and persist the background corpus
+// as a TGRAIDX2 snapshot for reuse.
 
 #include <cstdio>
+#include <memory>
 
 #include "core/tegra.h"
-#include "corpus/corpus_io.h"
 #include "corpus/corpus_stats.h"
+#include "store/corpus_loader.h"
 #include "synth/corpus_gen.h"
 #include "synth/list_gen.h"
 
 int main() {
   using namespace tegra;
 
-  // Build (or reload) the background index. Persisting it means subsequent
-  // pipeline runs start in milliseconds.
-  const std::string cache_path = "/tmp/tegra_example_corpus.idx";
-  Result<ColumnIndex> index = LoadOrBuildColumnIndex(cache_path, [] {
-    return synth::BuildBackgroundIndex(synth::CorpusProfile::kWeb,
-                                       /*num_tables=*/5000, /*seed=*/1);
-  });
-  if (!index.ok()) {
-    std::fprintf(stderr, "corpus: %s\n", index.status().ToString().c_str());
-    return 1;
-  }
-  CorpusStats stats(&index.value());
-  std::printf("background index ready: %llu columns (cached at %s)\n",
+  // Build (or map) the background corpus. Persisting it as a snapshot means
+  // subsequent pipeline runs start in milliseconds.
+  const std::string cache_path = "/tmp/tegra_example_corpus.idx2";
+  const std::unique_ptr<const CorpusView> index =
+      store::OpenOrBuildSnapshot(cache_path, [] {
+        return synth::BuildBackgroundIndex(synth::CorpusProfile::kWeb,
+                                           /*num_tables=*/5000, /*seed=*/1);
+      });
+  CorpusStats stats(index.get());
+  std::printf("background corpus ready: %llu columns (cached at %s)\n",
               static_cast<unsigned long long>(index->TotalColumns()),
               cache_path.c_str());
 

@@ -3,8 +3,8 @@
 // This walks the paper's running example (Figures 2-4): three lines about
 // cities that should segment into a 3-column table (city | region |
 // country), including a null cell for Toronto's missing region. The
-// background corpus is synthesized on the fly; a real deployment would load
-// a prebuilt index with LoadColumnIndex.
+// background corpus is synthesized on the fly; a real deployment would open
+// a prebuilt snapshot with store::OpenCorpus.
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Repo-wide check harness: builds and tests every supported configuration so
-# the tracing subsystem stays green both compiled-in and compiled-out, and
-# the concurrency-sensitive code (histograms, trace ring, thread pool,
-# serving layer) is exercised under ThreadSanitizer.
+# the tracing subsystem stays green both compiled-in and compiled-out, the
+# concurrency-sensitive code (histograms, trace ring, thread pool, serving
+# layer) is exercised under ThreadSanitizer, and the whole suite (including
+# the snapshot / manifest / HTTP decoders of untrusted bytes) runs under
+# AddressSanitizer.
 #
 # Configurations:
 #   1. default        — TEGRA_TRACE=ON, full ctest suite
@@ -20,10 +22,13 @@
 #                       tenant buckets from concurrent admission threads;
 #                       the health suite blocks real threads and signals
 #                       them from the watchdog)
+#   4. asan           — TEGRA_SANITIZE=address; the full ctest suite, so
+#                       every test (corruption matrices, parser edge cases,
+#                       e2e daemons) also proves it stays in bounds
 #
 # Usage:
-#   scripts/check.sh            # all three configurations
-#   scripts/check.sh default    # just one (default | trace-off | tsan)
+#   scripts/check.sh            # all four configurations
+#   scripts/check.sh default    # just one (default | trace-off | tsan | asan)
 #
 # Each configuration gets its own build directory (build-check-*) so this
 # never clobbers an existing developer `build/`.
@@ -80,6 +85,14 @@ if [[ "$ONLY" == "all" || "$ONLY" == "tsan" ]]; then
     run ctest --output-on-failure --timeout 600 -L 'service|trace|store|net|prof|qos|health' &&
     run ctest --output-on-failure --timeout 600 -R 'metrics_test|stress_test')
   echo "=== [tsan] OK ==="
+fi
+
+if [[ "$ONLY" == "all" || "$ONLY" == "asan" ]]; then
+  configure_and_build asan -DTEGRA_SANITIZE=address -DTEGRA_TRACE=ON
+  echo "=== [asan] test (full suite) ==="
+  (cd "$ROOT/build-check-asan" &&
+    run ctest --output-on-failure --timeout 600)
+  echo "=== [asan] OK ==="
 fi
 
 echo "All requested configurations passed."

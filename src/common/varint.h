@@ -1,5 +1,5 @@
-// Varint encoding plus bounds-checked decoding helpers, shared by the v1
-// (TGRAIDX1, heap-loaded) and v2 (TGRAIDX2, mmap-backed) corpus formats.
+// Varint encoding plus bounds-checked decoding helpers, used by the TGRAIDX2
+// snapshot format, the sharded manifest and the shard builder's spill runs.
 //
 // Every decode path takes an explicit end pointer and reports truncation or
 // over-long encodings via its return value; corrupted input can never run a

@@ -115,21 +115,6 @@ uint32_t ColumnIndex::CoOccurrenceCount(ValueId a, ValueId b) const {
   return count;
 }
 
-void ColumnIndex::RestoreFrom(uint64_t total_columns,
-                              std::vector<std::string> values,
-                              std::vector<std::vector<uint32_t>> postings) {
-  assert(values.size() == postings.size());
-  next_column_id_ = static_cast<uint32_t>(total_columns);
-  values_ = std::move(values);
-  postings_ = std::move(postings);
-  value_ids_.clear();
-  value_ids_.reserve(values_.size());
-  for (size_t i = 0; i < values_.size(); ++i) {
-    value_ids_.emplace(values_[i], static_cast<ValueId>(i));
-  }
-  finalized_ = true;
-}
-
 size_t ColumnIndex::MemoryUsageBytes() const {
   size_t bytes = 0;
   for (const auto& v : values_) bytes += v.capacity() + sizeof(v);

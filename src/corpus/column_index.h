@@ -9,8 +9,8 @@
 // ("USA", 100k postings) intersects a rare one in O(rare * log popular).
 //
 // ColumnIndex is the heap-materialized *build-side* implementation of the
-// CorpusView interface; for serving at scale, convert it to an mmap-backed
-// TGRAIDX2 snapshot (src/store/) that opens in milliseconds.
+// CorpusView interface. It has no on-disk form of its own: every corpus file
+// is a TGRAIDX2 snapshot written from it (src/store/) and served by mmap.
 
 #ifndef TEGRA_CORPUS_COLUMN_INDEX_H_
 #define TEGRA_CORPUS_COLUMN_INDEX_H_
@@ -69,23 +69,19 @@ class ColumnIndex : public CorpusView {
   /// |C(s1) ∩ C(s2)| via galloping intersection of sorted postings.
   uint32_t CoOccurrenceCount(ValueId a, ValueId b) const override;
 
-  /// The normalized string for an interned id (for diagnostics and
-  /// serialization).
+  /// The normalized string for an interned id (for diagnostics and the
+  /// snapshot writer).
   std::string ValueString(ValueId id) const override { return values_[id]; }
 
   const char* FormatName() const override { return "heap-v1"; }
   size_t HeapBytes() const override { return MemoryUsageBytes(); }
   size_t MappedBytes() const override { return 0; }
 
-  /// Read access to a postings list (used by serialization and the TGRAIDX2
-  /// snapshot writer).
+  /// Read access to a postings list (used by the TGRAIDX2 snapshot
+  /// writer).
   const std::vector<uint32_t>& Postings(ValueId id) const {
     return postings_[id];
   }
-
-  /// Used by deserialization to reconstruct an index directly.
-  void RestoreFrom(uint64_t total_columns, std::vector<std::string> values,
-                   std::vector<std::vector<uint32_t>> postings);
 
   /// Approximate heap usage in bytes (diagnostics).
   size_t MemoryUsageBytes() const;

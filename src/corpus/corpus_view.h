@@ -64,7 +64,7 @@ class CorpusView {
     return ColumnCount(a) + ColumnCount(b) - CoOccurrenceCount(a, b);
   }
 
-  /// The normalized string for an interned id (diagnostics, serialization).
+  /// The normalized string for an interned id (diagnostics, snapshot writes).
   virtual std::string ValueString(ValueId id) const = 0;
 
   /// Invokes `fn` once per distinct value with its id and normalized string,
@@ -80,7 +80,9 @@ class CorpusView {
     }
   }
 
-  /// Short identifier of the representation ("heap-v1", "mmap-v2").
+  /// Short identifier of the representation ("heap-v1" for the in-memory
+  /// ColumnIndex, which has no file format of its own; "mmap-v2";
+  /// "sharded-v2").
   virtual const char* FormatName() const = 0;
 
   /// Approximate bytes resident on the process heap for this view.

@@ -6,8 +6,8 @@
 #include <mutex>
 
 #include "common/string_util.h"
-#include "corpus/corpus_io.h"
 #include "eval/lists_data.h"
+#include "store/corpus_loader.h"
 #include "synth/corpus_gen.h"
 #include "synth/list_gen.h"
 
@@ -124,9 +124,9 @@ std::vector<EvalInstance> BuildDataset(DatasetId id, size_t count,
   return out;
 }
 
-const ColumnIndex& BackgroundIndex(BackgroundId id) {
+const CorpusView& BackgroundIndex(BackgroundId id) {
   static std::mutex mu;
-  static ColumnIndex* indexes[3] = {nullptr, nullptr, nullptr};
+  static const CorpusView* indexes[3] = {nullptr, nullptr, nullptr};
   const int slot = static_cast<int>(id);
   std::lock_guard<std::mutex> lock(mu);
   if (indexes[slot] != nullptr) return *indexes[slot];
@@ -137,14 +137,14 @@ const ColumnIndex& BackgroundIndex(BackgroundId id) {
   std::function<ColumnIndex()> builder;
   switch (id) {
     case BackgroundId::kWeb:
-      path = CacheDir() + "/bweb_" + std::to_string(web_n) + ".idx";
+      path = CacheDir() + "/bweb_" + std::to_string(web_n) + ".idx2";
       builder = [web_n] {
         return synth::BuildBackgroundIndex(synth::CorpusProfile::kWeb, web_n,
                                            kWebBackgroundSeed);
       };
       break;
     case BackgroundId::kEnterprise:
-      path = CacheDir() + "/bent_" + std::to_string(ent_n) + ".idx";
+      path = CacheDir() + "/bent_" + std::to_string(ent_n) + ".idx2";
       builder = [ent_n] {
         return synth::BuildBackgroundIndex(synth::CorpusProfile::kEnterprise,
                                            ent_n, kEnterpriseBackgroundSeed);
@@ -152,22 +152,21 @@ const ColumnIndex& BackgroundIndex(BackgroundId id) {
       break;
     case BackgroundId::kCombined:
       path = CacheDir() + "/bcomb_" + std::to_string(web_n) + "_" +
-             std::to_string(ent_n) + ".idx";
+             std::to_string(ent_n) + ".idx2";
       builder = [web_n, ent_n] {
         return synth::BuildCombinedIndex(web_n, kWebBackgroundSeed, ent_n,
                                          kEnterpriseBackgroundSeed);
       };
       break;
   }
-  Result<ColumnIndex> loaded = LoadOrBuildColumnIndex(path, builder);
-  indexes[slot] = new ColumnIndex(std::move(loaded).value());
+  indexes[slot] = store::OpenOrBuildSnapshot(path, builder).release();
   return *indexes[slot];
 }
 
 const CorpusStats& BackgroundStats(BackgroundId id) {
   static std::mutex mu;
   static CorpusStats* stats[3] = {nullptr, nullptr, nullptr};
-  const ColumnIndex& index = BackgroundIndex(id);
+  const CorpusView& index = BackgroundIndex(id);
   const int slot = static_cast<int>(id);
   std::lock_guard<std::mutex> lock(mu);
   if (stats[slot] == nullptr) stats[slot] = new CorpusStats(&index);

@@ -8,7 +8,8 @@
 // the 20 hand-labelled lists of lists_data.h.
 //
 // Background corpora are expensive to build, so they are constructed once,
-// cached on disk (corpus_io) and memoized per process.
+// cached on disk as TGRAIDX2 snapshots (store::OpenOrBuildSnapshot) and
+// memoized per process.
 
 #ifndef TEGRA_EVAL_BENCHMARK_DATA_H_
 #define TEGRA_EVAL_BENCHMARK_DATA_H_
@@ -17,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "corpus/column_index.h"
+#include "corpus/corpus_view.h"
 #include "corpus/corpus_stats.h"
 #include "corpus/table.h"
 #include "synth/knowledge_base.h"
@@ -57,9 +58,10 @@ enum class BackgroundId { kWeb, kEnterprise, kCombined };
 
 const char* BackgroundName(BackgroundId id);
 
-/// \brief Process-wide background index (built or loaded from the cache
-/// directory, TEGRA_CACHE_DIR or /tmp/tegra_cache).
-const ColumnIndex& BackgroundIndex(BackgroundId id);
+/// \brief Process-wide background corpus: the mmap'd `*.idx2` snapshot in
+/// the cache directory (TEGRA_CACHE_DIR or /tmp/tegra_cache), built and
+/// published there on first use.
+const CorpusView& BackgroundIndex(BackgroundId id);
 
 /// \brief Co-occurrence statistics over a background index (memoized).
 const CorpusStats& BackgroundStats(BackgroundId id);

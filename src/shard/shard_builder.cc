@@ -82,20 +82,21 @@ struct RunCursor {
   }
 };
 
-/// Snapshot-encodes `index` and appends its manifest entry (identity taken
-/// from the encoded bytes: total size + the header CRC at offset 60).
-Status PublishSnapshot(const ColumnIndex& index, const std::string& path,
+/// Publishes the encoded snapshot `bytes` at `path` and fills its manifest
+/// entry (identity taken from the encoded bytes: total size + the header
+/// CRC at offset 60).
+Status PublishSnapshot(const Result<std::string>& bytes, uint64_t num_values,
+                       uint64_t num_columns, const std::string& path,
                        uint8_t kind, const std::string& name,
                        ManifestEntry* entry) {
-  Result<std::string> bytes = store::EncodeSnapshot(index);
   if (!bytes.ok()) return bytes.status();
   entry->kind = kind;
   entry->name = name;
   entry->file_bytes = bytes.value().size();
   entry->header_crc =
       store::ReadU32LE(bytes.value().data() + store::kHeaderBytes - 4);
-  entry->num_values = index.NumValues();
-  entry->num_columns = index.TotalColumns();
+  entry->num_values = num_values;
+  entry->num_columns = num_columns;
   return AtomicWriteFile(path, bytes.value());
 }
 
@@ -230,12 +231,12 @@ Status ShardBuilder::BuildShard(uint32_t shard, std::string* name,
     }
   }
 
-  ColumnIndex index;
-  index.RestoreFrom(next_column_id_, std::move(values), std::move(postings));
   ManifestEntry entry;
   *name = store::ShardFileName(shard, options_.num_shards, /*sequence=*/1);
-  Status published = PublishSnapshot(index, out_dir_ + "/" + *name,
-                                     ManifestEntry::kShard, *name, &entry);
+  Status published = PublishSnapshot(
+      store::EncodeSortedSnapshot(next_column_id_, values, postings),
+      values.size(), next_column_id_, out_dir_ + "/" + *name,
+      ManifestEntry::kShard, *name, &entry);
   if (!published.ok()) return published;
   *file_bytes = entry.file_bytes;
   *header_crc = entry.header_crc;
@@ -320,8 +321,9 @@ Status AppendOverlay(const std::string& dir, const ColumnIndex& delta) {
   const std::string name =
       store::OverlayFileName(overlay_index, manifest.sequence);
   ManifestEntry entry;
-  Status published = PublishSnapshot(delta, base_dir + "/" + name,
-                                     ManifestEntry::kOverlay, name, &entry);
+  Status published = PublishSnapshot(
+      store::EncodeSnapshot(delta), delta.NumValues(), delta.TotalColumns(),
+      base_dir + "/" + name, ManifestEntry::kOverlay, name, &entry);
   if (!published.ok()) return published;
   manifest.entries.push_back(std::move(entry));
   return store::WriteManifest(manifest, manifest_path);
@@ -382,13 +384,12 @@ Status Compact(const std::string& dir, ThreadPool* pool) {
       values.push_back(value);
       postings.push_back(std::move(plist));
     }
-    ColumnIndex index;
-    index.RestoreFrom(new_total_columns, std::move(values),
-                      std::move(postings));
     const std::string name =
         store::ShardFileName(static_cast<uint32_t>(s), n, new_sequence);
-    results[s] = PublishSnapshot(index, base_dir + "/" + name,
-                                 ManifestEntry::kShard, name, &entries[s]);
+    results[s] = PublishSnapshot(
+        store::EncodeSortedSnapshot(new_total_columns, values, postings),
+        values.size(), new_total_columns, base_dir + "/" + name,
+        ManifestEntry::kShard, name, &entries[s]);
   };
   if (pool != nullptr && n > 1) {
     pool->ParallelFor(n, compact_one);

@@ -9,13 +9,13 @@
 
 #include "common/file_util.h"
 #include "corpus/column_index.h"
-#include "corpus/corpus_io.h"
 #include "common/hash.h"
 #include "store/crc32c.h"
 #include "store/format.h"
 #include "store/manifest.h"
 #include "store/mmap_corpus.h"
 #include "store/sharded_corpus.h"
+#include "store/snapshot_writer.h"
 
 namespace tegra {
 namespace store {
@@ -78,16 +78,7 @@ Result<LoadedCorpus> OpenCorpus(
     out.format = out.view->FormatName();
     return out;
   }
-  if (magic.value() == std::string(kMagicV1, sizeof(kMagicV1))) {
-    Result<ColumnIndex> v1 = LoadColumnIndex(path);
-    if (!v1.ok()) return v1.status();
-    auto index = std::make_shared<ColumnIndex>(std::move(v1.value()));
-    out.view = index;
-    out.format = out.view->FormatName();
-    return out;
-  }
-  return Status::Corruption("not a TGRAIDX1/TGRAIDX2/TGRSMAN1 corpus: " +
-                            resolved);
+  return Status::Corruption("not a TGRAIDX2/TGRSMAN1 corpus: " + resolved);
 }
 
 Result<CorpusFileInfo> DescribeCorpusFile(const std::string& path,
@@ -166,17 +157,7 @@ Result<CorpusFileInfo> DescribeCorpusFile(const std::string& path,
     }
     return info;
   }
-
-  if (magic.value() == std::string(kMagicV1, sizeof(kMagicV1))) {
-    info.format = "TGRAIDX1";
-    Result<ColumnIndex> v1 = LoadColumnIndex(path);
-    if (!v1.ok()) return v1.status();
-    info.total_columns = v1.value().TotalColumns();
-    info.num_values = v1.value().NumValues();
-    return info;
-  }
-  return Status::Corruption("not a TGRAIDX1/TGRAIDX2/TGRSMAN1 corpus: " +
-                            resolved);
+  return Status::Corruption("not a TGRAIDX2/TGRSMAN1 corpus: " + resolved);
 }
 
 std::string FormatCorpusFileInfo(const CorpusFileInfo& info) {
@@ -236,13 +217,23 @@ Status VerifyCorpusFile(const std::string& path) {
     if (!opened.ok()) return opened.status();
     return opened.value()->Verify();
   }
-  if (magic.value() == std::string(kMagicV1, sizeof(kMagicV1))) {
-    // The hardened v1 loader is itself a complete validation pass.
-    Result<ColumnIndex> v1 = LoadColumnIndex(resolved);
-    return v1.ok() ? Status::OK() : v1.status();
+  return Status::Corruption("not a TGRAIDX2/TGRSMAN1 corpus: " + resolved);
+}
+
+std::unique_ptr<const CorpusView> OpenOrBuildSnapshot(
+    const std::string& path, const std::function<ColumnIndex()>& builder) {
+  Result<std::unique_ptr<MmapCorpus>> cached = MmapCorpus::Open(path);
+  if (cached.ok() && cached.value()->Verify().ok()) {
+    return std::move(cached.value());
   }
-  return Status::Corruption("not a TGRAIDX1/TGRAIDX2/TGRSMAN1 corpus: " +
-                            resolved);
+  ColumnIndex built = builder();
+  if (!built.finalized()) built.Finalize();
+  if (WriteSnapshot(built, path).ok()) {
+    Result<std::unique_ptr<MmapCorpus>> written = MmapCorpus::Open(path);
+    if (written.ok()) return std::move(written.value());
+  }
+  // Best-effort save: an unwritable cache directory serves the build.
+  return std::make_unique<ColumnIndex>(std::move(built));
 }
 
 CorpusDigest ComputeCorpusDigest(const CorpusView& view) {

@@ -1,9 +1,9 @@
 // Format-sniffing corpus opener plus the shared describe / verify helpers
 // behind `tegra_corpusctl` and `corpus_inspector` (one implementation, so
-// the two tools cannot drift).
+// the two tools cannot drift), and the snapshot cache the eval benchmarks
+// share their background corpora through.
 //
 // OpenCorpus reads the 8-byte magic and dispatches:
-//   "TGRAIDX1" -> heap ColumnIndex via the hardened v1 loader.
 //   "TGRAIDX2" -> zero-copy MmapCorpus.
 //   "TGRSMAN1" -> ShardedCorpus (a directory path resolves to its
 //                 MANIFEST.tgrs first).
@@ -12,11 +12,13 @@
 #ifndef TEGRA_STORE_CORPUS_LOADER_H_
 #define TEGRA_STORE_CORPUS_LOADER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "corpus/column_index.h"
 #include "corpus/corpus_view.h"
 
 namespace tegra {
@@ -62,13 +64,13 @@ struct ShardPartSummary {
 /// \brief Format-independent summary of a corpus file.
 struct CorpusFileInfo {
   std::string path;
-  std::string format;  ///< "TGRAIDX1", "TGRAIDX2" or "TGRS-MANIFEST".
+  std::string format;  ///< "TGRAIDX2" or "TGRS-MANIFEST".
   uint64_t file_bytes = 0;
   uint64_t total_columns = 0;
   uint64_t num_values = 0;
-  /// v2 only: the section table (empty for v1).
+  /// Snapshot only: the section table (empty for a manifest).
   std::vector<SectionSummary> sections;
-  bool header_crc_ok = true;  ///< v2 only; v1 has no header CRC.
+  bool header_crc_ok = true;  ///< Snapshot only.
   /// Sharded only: manifest geometry + per-part counts.
   uint32_t num_shards = 0;
   uint32_t num_overlays = 0;
@@ -76,7 +78,7 @@ struct CorpusFileInfo {
   std::vector<ShardPartSummary> parts;
 };
 
-/// \brief Inspects a corpus file of either format. For v2, `check_crc`
+/// \brief Inspects a snapshot or a sharded manifest. `check_crc`
 /// additionally recomputes every section checksum (O(file size)).
 Result<CorpusFileInfo> DescribeCorpusFile(const std::string& path,
                                           bool check_crc);
@@ -85,12 +87,19 @@ Result<CorpusFileInfo> DescribeCorpusFile(const std::string& path,
 /// `tegra_corpusctl stats` and `corpus_inspector`.
 std::string FormatCorpusFileInfo(const CorpusFileInfo& info);
 
-/// \brief Full integrity verification. v2: header + section CRCs and a deep
-/// decode of the dictionary, hash table and every posting list. v1: the
-/// hardened loader's complete parse. Sharded: the manifest plus every shard
-/// and overlay, including shard-routing checks. Returns Corruption on any
-/// defect.
+/// \brief Full integrity verification. Snapshot: header + section CRCs and
+/// a deep decode of the dictionary, hash table and every posting list.
+/// Sharded: the manifest plus every shard and overlay, including
+/// shard-routing checks. Returns Corruption on any defect.
 Status VerifyCorpusFile(const std::string& path);
+
+/// \brief The snapshot at `path`, opened and fully verified (`Verify()`, so
+/// a cache hit is as trusted as a fresh build). On any failure (missing,
+/// corrupt, another format) runs `builder`, publishes its result with
+/// WriteSnapshot and returns the reopened snapshot. When the write fails
+/// (read-only directory) the built index itself is returned.
+std::unique_ptr<const CorpusView> OpenOrBuildSnapshot(
+    const std::string& path, const std::function<ColumnIndex()>& builder);
 
 /// \brief Deterministic, representation-independent fingerprint of the
 /// *statistics* a corpus serves: every (value, |C(s)|) pair (iterated in

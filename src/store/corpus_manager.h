@@ -7,11 +7,11 @@
 // reload swaps in a new generation mid-request, so in-flight extractions
 // never observe a torn corpus and never fail because of a reload.
 //
-// Reload() opens the configured path (v1 or v2, magic-sniffed), swaps on
-// success and bumps the generation; on failure the previous generation
-// keeps serving and only an error counter moves. The optional on-swap
-// callback lets the service layer rebuild derived state (CorpusStats,
-// extractor) for the new generation.
+// Reload() opens the configured path (a TGRAIDX2 snapshot or a TGRSMAN1
+// manifest, magic-sniffed), swaps on success and bumps the generation; on
+// failure the previous generation keeps serving and only an error counter
+// moves. The optional on-swap callback lets the service layer rebuild
+// derived state (CorpusStats, extractor) for the new generation.
 //
 // Metrics (when a registry is configured):
 //   store.reload_total         successful reloads (the initial load counts).

@@ -47,7 +47,6 @@ namespace tegra {
 namespace store {
 
 inline constexpr char kMagicV2[8] = {'T', 'G', 'R', 'A', 'I', 'D', 'X', '2'};
-inline constexpr char kMagicV1[8] = {'T', 'G', 'R', 'A', 'I', 'D', 'X', '1'};
 inline constexpr uint32_t kFormatVersion = 2;
 
 /// Fixed sizes; readers validate these before trusting any offset.

@@ -102,29 +102,14 @@ void EncodePostings(const std::vector<uint32_t>& plist, std::string* out) {
   for (uint32_t b = 0; b < num_blocks; ++b) out->append(streams[b]);
 }
 
-}  // namespace
-
-Result<std::string> EncodeSnapshot(const ColumnIndex& index) {
-  if (!index.finalized()) {
-    return Status::InvalidArgument(
-        "snapshot source index must be finalized");
-  }
-  const size_t num_values = index.NumValues();
-
-  // Re-intern in lexicographic order: order[rank] = heap id.
-  std::vector<uint32_t> order(num_values);
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<std::string> strings(num_values);
-  for (size_t id = 0; id < num_values; ++id) {
-    strings[id] = index.ValueString(static_cast<ValueId>(id));
-  }
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return strings[a] < strings[b];
-  });
-  std::vector<std::string> sorted(num_values);
-  for (size_t rank = 0; rank < num_values; ++rank) {
-    sorted[rank] = strings[order[rank]];
-  }
+/// Encodes a corpus whose values are already in snapshot order (strictly
+/// increasing); `postings(rank)` is the sorted column-id list of
+/// `sorted[rank]`.
+template <typename PostingsAt>
+std::string EncodeInOrder(uint64_t total_columns,
+                          const std::vector<std::string>& sorted,
+                          const PostingsAt& postings) {
+  const size_t num_values = sorted.size();
 
   // Section payloads.
   std::string dict_offsets, dict_blob, hash, post_offsets, post_counts,
@@ -132,7 +117,7 @@ Result<std::string> EncodeSnapshot(const ColumnIndex& index) {
   BuildDictionary(sorted, &dict_offsets, &dict_blob);
   BuildHash(sorted, &hash);
   for (size_t rank = 0; rank < num_values; ++rank) {
-    const auto& plist = index.Postings(order[rank]);
+    const std::vector<uint32_t>& plist = postings(rank);
     PutFixed64(&post_offsets, post_blob.size());
     PutFixed32(&post_counts, static_cast<uint32_t>(plist.size()));
     EncodePostings(plist, &post_blob);
@@ -185,7 +170,7 @@ Result<std::string> EncodeSnapshot(const ColumnIndex& index) {
   header.append(kMagicV2, sizeof(kMagicV2));
   PutFixed32(&header, kFormatVersion);
   PutFixed32(&header, kSectionCount);
-  PutFixed64(&header, index.TotalColumns());
+  PutFixed64(&header, total_columns);
   PutFixed64(&header, static_cast<uint64_t>(num_values));
   PutFixed32(&header, kDictBlockSize);
   PutFixed32(&header, kPostingBlockSize);
@@ -197,6 +182,53 @@ Result<std::string> EncodeSnapshot(const ColumnIndex& index) {
   file.replace(0, kHeaderBytes, header);
 
   return file;
+}
+
+}  // namespace
+
+Result<std::string> EncodeSnapshot(const ColumnIndex& index) {
+  if (!index.finalized()) {
+    return Status::InvalidArgument(
+        "snapshot source index must be finalized");
+  }
+  const size_t num_values = index.NumValues();
+
+  // Re-intern in lexicographic order: order[rank] = heap id.
+  std::vector<uint32_t> order(num_values);
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<std::string> strings(num_values);
+  for (size_t id = 0; id < num_values; ++id) {
+    strings[id] = index.ValueString(static_cast<ValueId>(id));
+  }
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return strings[a] < strings[b];
+  });
+  std::vector<std::string> sorted(num_values);
+  for (size_t rank = 0; rank < num_values; ++rank) {
+    sorted[rank] = strings[order[rank]];
+  }
+  auto postings = [&](size_t rank) -> const std::vector<uint32_t>& {
+    return index.Postings(order[rank]);
+  };
+  return EncodeInOrder(index.TotalColumns(), sorted, postings);
+}
+
+Result<std::string> EncodeSortedSnapshot(
+    uint64_t total_columns, const std::vector<std::string>& values,
+    const std::vector<std::vector<uint32_t>>& postings) {
+  if (values.size() != postings.size()) {
+    return Status::InvalidArgument("snapshot values/postings size mismatch");
+  }
+  for (size_t i = 1; i < values.size(); ++i) {
+    if (!(values[i - 1] < values[i])) {
+      return Status::InvalidArgument(
+          "snapshot values must be strictly increasing");
+    }
+  }
+  auto postings_at = [&](size_t rank) -> const std::vector<uint32_t>& {
+    return postings[rank];
+  };
+  return EncodeInOrder(total_columns, values, postings_at);
 }
 
 Status WriteSnapshot(const ColumnIndex& index, const std::string& path) {

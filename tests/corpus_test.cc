@@ -1,14 +1,11 @@
-// Tests for Table, ColumnIndex, CorpusStats (including the paper's PMI
-// worked example) and corpus serialization.
+// Tests for Table, ColumnIndex and CorpusStats (including the paper's PMI
+// worked example). Corpus files are tested in store_test.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 
 #include "corpus/column_index.h"
-#include "corpus/corpus_io.h"
 #include "corpus/corpus_stats.h"
 #include "corpus/table.h"
 
@@ -280,91 +277,6 @@ TEST(CorpusStatsTest, ZeroCapacityDisablesMemoizationButStaysCorrect) {
   EXPECT_NEAR(stats.JointProbability(a, b), 0.003, 1e-9);
   EXPECT_EQ(stats.CacheSize(), 0u);
   EXPECT_EQ(stats.CoCacheStats().hits, 0u);
-}
-
-// ---- corpus_io ---------------------------------------------------------------
-
-std::string TempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
-TEST(CorpusIoTest, RoundTrip) {
-  ColumnIndex index;
-  index.AddColumn({"Toronto", "Boston", "New York City"});
-  index.AddColumn({"Toronto", "42"});
-  index.Finalize();
-
-  const std::string path = TempPath("tegra_roundtrip.idx");
-  ASSERT_TRUE(SaveColumnIndex(index, path).ok());
-  Result<ColumnIndex> loaded = LoadColumnIndex(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-
-  EXPECT_EQ(loaded->TotalColumns(), index.TotalColumns());
-  EXPECT_EQ(loaded->NumValues(), index.NumValues());
-  const ValueId a = loaded->Lookup("toronto");
-  ASSERT_NE(a, kInvalidValueId);
-  EXPECT_EQ(loaded->ColumnCount(a), 2u);
-  EXPECT_EQ(loaded->CoOccurrenceCount(a, loaded->Lookup("boston")), 1u);
-  std::filesystem::remove(path);
-}
-
-TEST(CorpusIoTest, MissingFileIsIOError) {
-  Result<ColumnIndex> r = LoadColumnIndex("/nonexistent/path.idx");
-  EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsIOError());
-}
-
-TEST(CorpusIoTest, BadMagicIsCorruption) {
-  const std::string path = TempPath("tegra_badmagic.idx");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("NOTANIDX_________", f);
-  std::fclose(f);
-  Result<ColumnIndex> r = LoadColumnIndex(path);
-  EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsCorruption());
-  std::filesystem::remove(path);
-}
-
-TEST(CorpusIoTest, TruncatedFileIsCorruption) {
-  ColumnIndex index;
-  index.AddColumn({"alpha", "beta", "gamma"});
-  index.Finalize();
-  const std::string path = TempPath("tegra_trunc.idx");
-  ASSERT_TRUE(SaveColumnIndex(index, path).ok());
-  // Truncate to half.
-  const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size / 2);
-  Result<ColumnIndex> r = LoadColumnIndex(path);
-  EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsCorruption());
-  std::filesystem::remove(path);
-}
-
-TEST(CorpusIoTest, SavingUnfinalizedIndexFails) {
-  ColumnIndex index;
-  index.AddColumn({"a"});
-  EXPECT_TRUE(SaveColumnIndex(index, TempPath("x.idx")).IsInvalidArgument());
-}
-
-TEST(CorpusIoTest, LoadOrBuildUsesBuilderThenCache) {
-  const std::string path = TempPath("tegra_loadorbuild.idx");
-  std::filesystem::remove(path);
-  int builds = 0;
-  auto builder = [&builds] {
-    ++builds;
-    ColumnIndex index;
-    index.AddColumn({"v1", "v2"});
-    index.Finalize();
-    return index;
-  };
-  Result<ColumnIndex> first = LoadOrBuildColumnIndex(path, builder);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(builds, 1);
-  Result<ColumnIndex> second = LoadOrBuildColumnIndex(path, builder);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(builds, 1) << "second call must hit the disk cache";
-  EXPECT_EQ(second->NumValues(), 2u);
-  std::filesystem::remove(path);
 }
 
 }  // namespace

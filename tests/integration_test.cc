@@ -1,14 +1,16 @@
 // Integration tests: full pipeline (corpus -> index -> extraction ->
 // scoring) on small generated datasets, TEGRA configuration axes
-// (threading, anchor sampling, A* vs naive, Jaccard), and the disk cache.
+// (threading, anchor sampling, A* vs naive, Jaccard), and extraction over a
+// mapped TGRAIDX2 snapshot of the corpus.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
 #include "core/tegra.h"
-#include "corpus/corpus_io.h"
 #include "eval/experiment.h"
+#include "store/mmap_corpus.h"
+#include "store/snapshot_writer.h"
 #include "synth/corpus_gen.h"
 #include "synth/list_gen.h"
 
@@ -145,24 +147,36 @@ TEST_F(PipelineTest, JaccardMeasureWorksEndToEnd) {
 }
 
 TEST_F(PipelineTest, SerializedCorpusGivesIdenticalResults) {
+  // The background corpora of the paper benches are served from snapshots
+  // like this one; extraction over the mapped view must match the heap
+  // index exactly (rows and bit-identical SP), with and without m given.
   const std::string path =
-      (std::filesystem::temp_directory_path() / "tegra_integ.idx").string();
-  ASSERT_TRUE(SaveColumnIndex(*index_, path).ok());
-  Result<ColumnIndex> loaded = LoadColumnIndex(path);
-  ASSERT_TRUE(loaded.ok());
-  CorpusStats loaded_stats(&loaded.value());
+      (std::filesystem::temp_directory_path() / "tegra_integ.idx2").string();
+  ASSERT_TRUE(store::WriteSnapshot(*index_, path).ok());
+  auto mapped = store::MmapCorpus::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  CorpusStats mapped_stats(mapped.value().get());
 
   const auto instances = Instances(3);
   for (const auto& inst : instances) {
     TegraExtractor original(stats_);
-    TegraExtractor reloaded(&loaded_stats);
+    TegraExtractor reloaded(&mapped_stats);
     auto a = original.Extract(inst.lines);
     auto b = reloaded.Extract(inst.lines);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a->table.rows(), b->table.rows());
-    EXPECT_NEAR(a->sp, b->sp, 1e-9);
+    EXPECT_EQ(a->sp, b->sp);
+
+    const int m = static_cast<int>(inst.truth.NumCols());
+    auto given_a = original.ExtractWithColumns(inst.lines, m);
+    auto given_b = reloaded.ExtractWithColumns(inst.lines, m);
+    ASSERT_TRUE(given_a.ok());
+    ASSERT_TRUE(given_b.ok());
+    EXPECT_EQ(given_a->table.rows(), given_b->table.rows());
+    EXPECT_EQ(given_a->sp, given_b->sp);
   }
+  mapped.value().reset();
   std::filesystem::remove(path);
 }
 

@@ -7,8 +7,11 @@
 //  * Corruption matrix: every truncation point and a sweep of single-bit
 //    flips must surface as Status::Corruption from Open() or Verify() —
 //    never UB, never a crash, never silently wrong data.
-//  * v1 hardening: the TGRAIDX1 loader rejects truncated and mutated
-//    caches with Corruption.
+//  * Retired formats: a file with the old heap-cache magic is Corruption to
+//    every opener.
+//  * Snapshot cache (OpenOrBuildSnapshot): builds once, then serves the
+//    verified snapshot; corrupt, stale-format and unwritable caches fall
+//    back to a rebuild.
 //  * Durability: publication is atomic — no `.tmp` debris, old content
 //    survives a failed write.
 //  * CorpusManager: generation bumping, failed-reload semantics, and
@@ -29,7 +32,6 @@
 
 #include "common/file_util.h"
 #include "corpus/column_index.h"
-#include "corpus/corpus_io.h"
 #include "corpus/corpus_stats.h"
 #include "corpus/corpus_view.h"
 #include "store/corpus_loader.h"
@@ -61,6 +63,16 @@ void WriteRaw(const std::string& path, const std::string& bytes) {
     ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
   }
   ASSERT_EQ(std::fclose(f), 0);
+}
+
+/// A cache in the retired v1 heap format: magic, then varint total columns
+/// (1), value count (1), and per value its string ("a") and delta postings
+/// (one, at column 0).
+std::string RetiredV1Cache() {
+  std::string bytes = "TGRAIDX1";
+  bytes += "\x01\x01\x01" "a" "\x01";
+  bytes.push_back('\0');
+  return bytes;
 }
 
 class StoreRoundTripTest : public ::testing::Test {
@@ -199,22 +211,27 @@ TEST_F(StoreRoundTripTest, DescribeReportsAllSectionsChecksummed) {
 }
 
 TEST_F(StoreRoundTripTest, OpenCorpusAutodetectsBothFormats) {
-  const std::string v1_path = TempPath("autodetect.idx");
-  ASSERT_TRUE(SaveColumnIndex(*heap_, v1_path).ok());
-
-  auto v1 = OpenCorpus(v1_path);
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-  EXPECT_EQ(v1->format, "heap-v1");
   auto v2 = OpenCorpus(*path_);
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
   EXPECT_EQ(v2->format, "mmap-v2");
-  EXPECT_EQ(v1->view->NumValues(), v2->view->NumValues());
+  EXPECT_EQ(v2->view->NumValues(), heap_->NumValues());
 
   const std::string junk_path = TempPath("autodetect.junk");
   WriteRaw(junk_path, "NOTANIDX file of some other kind entirely");
   auto junk = OpenCorpus(junk_path);
   EXPECT_FALSE(junk.ok());
   EXPECT_EQ(junk.status().code(), StatusCode::kCorruption);
+
+  // The retired heap-cache format is no longer read by any opener.
+  const std::string v1_path = TempPath("autodetect.idx");
+  WriteRaw(v1_path, RetiredV1Cache());
+  auto v1 = OpenCorpus(v1_path);
+  EXPECT_FALSE(v1.ok());
+  EXPECT_EQ(v1.status().code(), StatusCode::kCorruption)
+      << v1.status().ToString();
+  EXPECT_EQ(DescribeCorpusFile(v1_path, /*check_crc=*/true).status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(VerifyCorpusFile(v1_path).code(), StatusCode::kCorruption);
 
   std::remove(v1_path.c_str());
   std::remove(junk_path.c_str());
@@ -327,67 +344,19 @@ TEST_F(StoreCorruptionTest, VerifyCorpusFileFlagsBitFlip) {
   std::remove(path.c_str());
 }
 
-TEST(StoreV1HardeningTest, TruncationsAndMutationsAreRejected) {
-  const ColumnIndex heap = BuildCorpus(150, 11);
-  const std::string path = TempPath("v1.idx");
-  ASSERT_TRUE(SaveColumnIndex(heap, path).ok());
-  auto bytes = ReadFileToString(path);
-  ASSERT_TRUE(bytes.ok());
-  std::remove(path.c_str());
-
-  const std::string corrupt_path = TempPath("v1_corrupt.idx");
-  // Truncation sweep.
-  for (size_t cut : {size_t{0}, size_t{4}, size_t{8}, size_t{20},
-                     bytes->size() / 2, bytes->size() - 1}) {
-    WriteRaw(corrupt_path, bytes->substr(0, cut));
-    auto loaded = LoadColumnIndex(corrupt_path);
-    EXPECT_FALSE(loaded.ok()) << "cut=" << cut;
-    if (!loaded.ok()) {
-      EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
-          << "cut=" << cut << ": " << loaded.status().ToString();
-    }
-  }
-  // Oversized varint counts / absurd lengths from byte mutations must be
-  // caught by bounds checks, not trusted. Flip high bytes early in the
-  // stream where the cardinalities live.
-  for (size_t offset : {size_t{8}, size_t{9}, size_t{10}, size_t{12}}) {
-    std::string mutated = *bytes;
-    mutated[offset] = static_cast<char>(0xff);
-    WriteRaw(corrupt_path, mutated);
-    auto loaded = LoadColumnIndex(corrupt_path);
-    // Either rejected outright, or the mutation happened to be a valid
-    // re-encoding — but it must never crash and never return a half-parsed
-    // index silently (the loader validates totals at the end).
-    if (!loaded.ok()) {
-      EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
-          << "offset=" << offset << ": " << loaded.status().ToString();
-    }
-  }
-  // Trailing garbage is a hard error.
-  WriteRaw(corrupt_path, *bytes + "extra");
-  auto trailing = LoadColumnIndex(corrupt_path);
-  EXPECT_FALSE(trailing.ok());
-  std::remove(corrupt_path.c_str());
-}
-
 // ---- Durability ------------------------------------------------------------
 
 TEST(StoreDurabilityTest, PublicationLeavesNoTempDebris) {
   const ColumnIndex heap = BuildCorpus(100, 2);
-  const std::string v1_path = TempPath("durable.idx");
-  const std::string v2_path = TempPath("durable.idx2");
-  ASSERT_TRUE(SaveColumnIndex(heap, v1_path).ok());
-  ASSERT_TRUE(WriteSnapshot(heap, v2_path).ok());
-  for (const std::string& path : {v1_path, v2_path}) {
-    EXPECT_FALSE(ReadFileToString(path + ".tmp").ok())
-        << path << ".tmp left behind";
-    EXPECT_TRUE(FileSize(path).ok());
-  }
+  const std::string path = TempPath("durable.idx2");
+  ASSERT_TRUE(WriteSnapshot(heap, path).ok());
+  EXPECT_FALSE(ReadFileToString(path + ".tmp").ok())
+      << path << ".tmp left behind";
+  EXPECT_TRUE(FileSize(path).ok());
   // Overwrite-in-place republishes atomically over existing content.
-  ASSERT_TRUE(WriteSnapshot(heap, v2_path).ok());
-  EXPECT_TRUE(VerifyCorpusFile(v2_path).ok());
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  ASSERT_TRUE(WriteSnapshot(heap, path).ok());
+  EXPECT_TRUE(VerifyCorpusFile(path).ok());
+  std::remove(path.c_str());
 }
 
 TEST(StoreDurabilityTest, FailedWriteKeepsOldContentIntact) {
@@ -402,6 +371,85 @@ TEST(StoreDurabilityTest, FailedWriteKeepsOldContentIntact) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*after, *before);
   std::remove(path.c_str());
+}
+
+// ---- Snapshot cache --------------------------------------------------------
+
+class SnapshotCacheTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = TempPath("cache_" +
+                     std::string(::testing::UnitTest::GetInstance()
+                                     ->current_test_info()
+                                     ->name()) +
+                     ".idx2");
+    std::remove(path_.c_str());
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  std::unique_ptr<const CorpusView> OpenOrBuild(const std::string& path) {
+    return OpenOrBuildSnapshot(path, [this] {
+      ++builds_;
+      return BuildCorpus(120, 9);
+    });
+  }
+
+  /// The served corpus answers every statistic like a fresh build.
+  static void ExpectBuiltCorpus(const CorpusView& view) {
+    EXPECT_EQ(ComputeCorpusDigest(view).digest,
+              ComputeCorpusDigest(BuildCorpus(120, 9)).digest);
+  }
+
+  std::string path_;
+  int builds_ = 0;
+};
+
+TEST_F(SnapshotCacheTest, BuilderRunsOnceThenCacheServes) {
+  const auto first = OpenOrBuild(path_);
+  EXPECT_EQ(builds_, 1);
+  EXPECT_STREQ(first->FormatName(), "mmap-v2");
+  ExpectBuiltCorpus(*first);
+
+  const auto second = OpenOrBuild(path_);
+  EXPECT_EQ(builds_, 1) << "second call must hit the disk cache";
+  EXPECT_STREQ(second->FormatName(), "mmap-v2");
+  EXPECT_EQ(second->NumValues(), first->NumValues());
+}
+
+TEST_F(SnapshotCacheTest, FlippedPayloadByteIsRebuiltNotTrusted) {
+  OpenOrBuild(path_);  // Publishes; the view unmaps here.
+  auto bytes = ReadFileToString(path_);
+  ASSERT_TRUE(bytes.ok());
+  std::string mutated = *bytes;
+  mutated[mutated.size() - 5] ^= 0x10;  // Deep inside posting_blob.
+  WriteRaw(path_, mutated);
+  // Structurally the file still opens; only the full check catches it.
+  ASSERT_TRUE(MmapCorpus::Open(path_).ok());
+
+  const auto reopened = OpenOrBuild(path_);
+  EXPECT_EQ(builds_, 2);
+  ExpectBuiltCorpus(*reopened);
+  EXPECT_TRUE(VerifyCorpusFile(path_).ok()) << "cache was not republished";
+}
+
+TEST_F(SnapshotCacheTest, StaleV1CacheIsRebuilt) {
+  WriteRaw(path_, RetiredV1Cache());
+  const auto opened = OpenOrBuild(path_);
+  EXPECT_EQ(builds_, 1);
+  EXPECT_STREQ(opened->FormatName(), "mmap-v2");
+  ExpectBuiltCorpus(*opened);
+  EXPECT_TRUE(VerifyCorpusFile(path_).ok());
+}
+
+TEST_F(SnapshotCacheTest, UnwritableDirectoryStillServes) {
+  // A regular file as the parent directory: unwritable even for root.
+  const std::string not_a_dir = TempPath("cache_parent_is_a_file");
+  WriteRaw(not_a_dir, "x");
+  const auto opened = OpenOrBuild(not_a_dir + "/cache.idx2");
+  EXPECT_EQ(builds_, 1);
+  EXPECT_STREQ(opened->FormatName(), "heap-v1");
+  ExpectBuiltCorpus(*opened);
+  std::remove(not_a_dir.c_str());
 }
 
 // ---- Edge cases ------------------------------------------------------------
@@ -427,6 +475,29 @@ TEST(StoreEdgeCaseTest, UnfinalizedIndexIsRefused) {
   auto encoded = EncodeSnapshot(unfinalized);
   EXPECT_FALSE(encoded.ok());
   EXPECT_EQ(encoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(StoreEdgeCaseTest, SortedEncodingMatchesIndexEncoding) {
+  // The shard builder's path: values already in snapshot order must encode
+  // to exactly the bytes of the heap index holding the same postings.
+  ColumnIndex index;
+  index.AddColumn({"toronto", "boston"});
+  index.AddColumn({"toronto", "42"});
+  index.Finalize();
+  auto from_index = EncodeSnapshot(index);
+  auto sorted = EncodeSortedSnapshot(2, {"42", "boston", "toronto"},
+                                     {{1}, {0}, {0, 1}});
+  ASSERT_TRUE(from_index.ok() && sorted.ok());
+  EXPECT_EQ(*sorted, *from_index);
+
+  // Out-of-order, duplicate or unpaired values are refused, not encoded
+  // into a snapshot whose hash and dictionary disagree.
+  EXPECT_EQ(EncodeSortedSnapshot(2, {"b", "a"}, {{0}, {1}}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(EncodeSortedSnapshot(2, {"a", "a"}, {{0}, {1}}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(EncodeSortedSnapshot(2, {"a"}, {{0}, {1}}).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(StoreEdgeCaseTest, Crc32cKnownVectorsAndMasking) {

@@ -2,13 +2,12 @@
 // postings distribution, the most frequent values, and interactive-style
 // pairwise queries (PMI / NPMI / semantic distance between two values).
 //
-// `--corpus` auto-detects the on-disk format (TGRAIDX1 heap cache or
-// TGRAIDX2 mmap snapshot) and prints the file report — section table with
-// sizes and per-section checksum status — before the corpus statistics.
-// The report is shared with `tegra_corpusctl stats`.
+// `--corpus` opens a TGRAIDX2 snapshot or a sharded directory and prints
+// the file report — section (or shard) table with sizes and checksum
+// status — before the corpus statistics. The report is shared with
+// `tegra_corpusctl stats`.
 //
 // Examples:
-//   ./corpus_inspector --corpus /tmp/tegra_cache/bweb_20000.idx
 //   ./corpus_inspector --corpus /tmp/tegra_cache/bweb_20000.idx2
 //   ./corpus_inspector --build web:5000:1 --top 20
 //   ./corpus_inspector --build web:5000:1 --pair "toronto" "los angeles"
@@ -33,7 +32,7 @@ namespace {
 
 void PrintUsage() {
   std::fputs(R"(usage: corpus_inspector [options]
-  --corpus PATH        load a serialized index (TGRAIDX1 or TGRAIDX2)
+  --corpus PATH        open a corpus file (TGRAIDX2 snapshot or sharded dir)
   --build SPEC         build synthetic corpus (profile:tables:seed)
   --top N              show the N most frequent values (default 15)
   --pair "A" "B"       show co-occurrence statistics for a value pair

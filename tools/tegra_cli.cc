@@ -7,8 +7,8 @@
 // Examples:
 //   ./tegra_cli list.txt
 //   ./tegra_cli --columns 3 --format csv list.txt
-//   ./tegra_cli --corpus /tmp/tegra_cache/bweb_20000.idx --format markdown -
-//   ./tegra_cli --build-corpus web:5000:1 --save-corpus web.idx list.txt
+//   ./tegra_cli --corpus /tmp/tegra_cache/bweb_20000.idx2 --format markdown -
+//   ./tegra_cli --build-corpus web:5000:1 --save-corpus web.idx2 list.txt
 //   ./tegra_cli --delimiters ",;:" --example "0:Boston|Massachusetts|645 966"
 
 #include <cstdio>
@@ -16,14 +16,16 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/string_util.h"
 #include "core/tegra.h"
-#include "corpus/corpus_io.h"
 #include "corpus/corpus_stats.h"
 #include "corpus/table_io.h"
+#include "store/corpus_loader.h"
+#include "store/snapshot_writer.h"
 #include "synth/corpus_gen.h"
 #include "trace/chrome_trace.h"
 #include "trace/trace.h"
@@ -39,11 +41,14 @@ options:
   --columns N             segment into exactly N columns (default: auto)
   --alpha X               syntactic weight in [0,1] (default 0.5)
   --delimiters CHARS      extra punctuation delimiters (whitespace always)
-  --corpus PATH           load a serialized background index
+  --corpus PATH           open a corpus file: a TGRAIDX2 snapshot or a
+                          sharded directory / MANIFEST.tgrs (see
+                          tegra_corpusctl)
   --build-corpus SPEC     build a synthetic corpus; SPEC = profile:tables:seed
                           with profile in {web, wiki, enterprise}
                           (default: web:5000:1 when --corpus is not given)
-  --save-corpus PATH      persist the (built) corpus for reuse
+  --save-corpus PATH      publish the built corpus as a TGRAIDX2 snapshot
+                          (not with --corpus)
   --example "IDX:a|b|c"   supervised: row IDX is segmented as cells a, b, c
                           (repeatable; cells separated by '|')
   --format FMT            table | csv | tsv | markdown   (default: table)
@@ -128,12 +133,21 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
       opts->input = arg;
     }
   }
+  if (!opts->corpus_path.empty() && !opts->save_corpus.empty()) {
+    std::fprintf(stderr, "--save-corpus needs a built corpus, not --corpus\n");
+    return false;
+  }
   return true;
 }
 
-tegra::Result<tegra::ColumnIndex> BuildOrLoadCorpus(const CliOptions& opts) {
+/// The --corpus file, or else the --build-corpus build (published to
+/// --save-corpus when given; a failed save only warns).
+tegra::Result<std::shared_ptr<const tegra::CorpusView>> BuildOrLoadCorpus(
+    const CliOptions& opts) {
   if (!opts.corpus_path.empty()) {
-    return tegra::LoadColumnIndex(opts.corpus_path);
+    auto loaded = tegra::store::OpenCorpus(opts.corpus_path);
+    if (!loaded.ok()) return loaded.status();
+    return loaded->view;
   }
   std::string spec = opts.build_spec.empty() ? "web:5000:1" : opts.build_spec;
   const auto parts = tegra::SplitExact(spec, ":");
@@ -159,7 +173,13 @@ tegra::Result<tegra::ColumnIndex> BuildOrLoadCorpus(const CliOptions& opts) {
   std::fprintf(stderr, "building %s corpus (%zu tables, seed %llu)...\n",
                parts[0].c_str(), tables,
                static_cast<unsigned long long>(seed));
-  return tegra::synth::BuildBackgroundIndex(profile, tables, seed);
+  auto index = std::make_shared<tegra::ColumnIndex>(
+      tegra::synth::BuildBackgroundIndex(profile, tables, seed));
+  if (!opts.save_corpus.empty()) {
+    tegra::Status s = tegra::store::WriteSnapshot(*index, opts.save_corpus);
+    if (!s.ok()) std::fprintf(stderr, "save-corpus: %s\n", s.ToString().c_str());
+  }
+  return std::shared_ptr<const tegra::CorpusView>(std::move(index));
 }
 
 tegra::Result<std::vector<tegra::SegmentationExample>> ParseExamples(
@@ -210,16 +230,12 @@ int main(int argc, char** argv) {
   }
 
   // Corpus.
-  auto index = BuildOrLoadCorpus(opts);
-  if (!index.ok()) {
-    std::fprintf(stderr, "corpus: %s\n", index.status().ToString().c_str());
+  auto corpus = BuildOrLoadCorpus(opts);
+  if (!corpus.ok()) {
+    std::fprintf(stderr, "corpus: %s\n", corpus.status().ToString().c_str());
     return 1;
   }
-  if (!opts.save_corpus.empty()) {
-    tegra::Status s = tegra::SaveColumnIndex(*index, opts.save_corpus);
-    if (!s.ok()) std::fprintf(stderr, "save-corpus: %s\n", s.ToString().c_str());
-  }
-  tegra::CorpusStats stats(&index.value());
+  tegra::CorpusStats stats(corpus->get());
 
   // Tracing: enabled only when the caller asked for a dump, so the default
   // CLI path stays span-free.

@@ -1,13 +1,12 @@
-// tegra_corpusctl — build, convert, verify and inspect background-corpus
-// files (TGRAIDX1 heap caches, TGRAIDX2 mmap snapshots and TGRSMAN1 sharded
-// corpus directories).
+// tegra_corpusctl — build, verify and inspect background-corpus files
+// (TGRAIDX2 mmap snapshots and TGRSMAN1 sharded corpus directories).
 //
-//   tegra_corpusctl build SPEC[,SPEC...] OUT [--format v1|v2]
-//       Build a synthetic corpus and publish it at OUT. Each SPEC is
-//       profile:tables:seed (profile in {web, wiki, enterprise}); multiple
-//       comma-separated specs are ingested sequentially, which makes a
-//       monolithic build comparable against a sharded base + overlays built
-//       from the same spec list. Default format v2.
+//   tegra_corpusctl build SPEC[,SPEC...] OUT
+//       Build a synthetic corpus and publish it at OUT as a TGRAIDX2
+//       snapshot. Each SPEC is profile:tables:seed (profile in {web, wiki,
+//       enterprise}); multiple comma-separated specs are ingested
+//       sequentially, which makes a monolithic build comparable against a
+//       sharded base + overlays built from the same spec list.
 //   tegra_corpusctl build-sharded SPEC[,SPEC...] OUTDIR [--shards N]
 //                                 [--budget-mb M]
 //       Build the same corpus as a sharded directory (N hash-partitioned
@@ -21,10 +20,9 @@
 //       replaced files.
 //   tegra_corpusctl verify PATH
 //       Full integrity check (header + per-section CRC32C, deep decode of
-//       dictionary / hash / postings for v2; complete hardened parse for
-//       v1; manifest + every part + shard routing for a sharded
-//       directory). Exit 0 on success, 1 with the Corruption message
-//       otherwise.
+//       dictionary / hash / postings for a snapshot; manifest + every part
+//       + shard routing for a sharded directory). Exit 0 on success, 1 with
+//       the Corruption message otherwise.
 //   tegra_corpusctl stats PATH
 //       Format, cardinalities, section table (or per-shard/overlay part
 //       table) with sizes and checksum status.
@@ -45,7 +43,6 @@
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "corpus/corpus_io.h"
 #include "shard/shard_builder.h"
 #include "store/corpus_loader.h"
 #include "store/snapshot_writer.h"
@@ -57,13 +54,11 @@ void PrintUsage() {
   std::fputs(R"(usage: tegra_corpusctl <command> [args]
 
 commands:
-  build SPEC[,SPEC...] OUT [--format v1|v2]
-                                    build synthetic corpus (profile:tables:seed)
+  build SPEC[,SPEC...] OUT          build synthetic corpus (profile:tables:seed)
   build-sharded SPEC[,SPEC...] OUTDIR [--shards N] [--budget-mb M]
                                     build a sharded corpus directory
   append DIR SPEC                   add SPEC tables as a delta overlay of DIR
   compact DIR                       fold overlays back into the shards
-  convert IN OUT                    TGRAIDX1 -> TGRAIDX2 snapshot
   verify PATH                       full checksum + deep-decode integrity check
   stats PATH                        summary, section/part sizes, checksum status
   digest PATH                       statistics fingerprint (diffable across
@@ -139,33 +134,16 @@ int Fail(const tegra::Status& status) {
 }
 
 int CmdBuild(int argc, char** argv) {
-  if (argc < 2) {
+  if (argc != 2) {
     PrintUsage();
     return 2;
   }
-  const std::string spec = argv[0];
   const std::string out = argv[1];
-  std::string format = "v2";
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--format") == 0 && i + 1 < argc) {
-      format = argv[++i];
-    } else {
-      PrintUsage();
-      return 2;
-    }
-  }
-  if (format != "v1" && format != "v2") {
-    std::fprintf(stderr, "unknown --format: %s\n", format.c_str());
-    return 2;
-  }
-  auto index = BuildSynthetic(spec);
+  auto index = BuildSynthetic(argv[0]);
   if (!index.ok()) return Fail(index.status());
-  const tegra::Status written =
-      format == "v1" ? tegra::SaveColumnIndex(index.value(), out)
-                     : tegra::store::WriteSnapshot(index.value(), out);
+  const tegra::Status written = tegra::store::WriteSnapshot(index.value(), out);
   if (!written.ok()) return Fail(written);
-  std::printf("built %s (%s, %llu columns, %zu values)\n", out.c_str(),
-              format == "v1" ? "TGRAIDX1" : "TGRAIDX2",
+  std::printf("built %s (TGRAIDX2, %llu columns, %zu values)\n", out.c_str(),
               static_cast<unsigned long long>(index->TotalColumns()),
               index->NumValues());
   return 0;
@@ -239,30 +217,6 @@ int CmdCompact(int argc, char** argv) {
   return 0;
 }
 
-int CmdConvert(int argc, char** argv) {
-  if (argc != 2) {
-    PrintUsage();
-    return 2;
-  }
-  const std::string in = argv[0];
-  const std::string out = argv[1];
-  auto index = tegra::LoadColumnIndex(in);
-  if (!index.ok()) {
-    if (index.status().code() == tegra::StatusCode::kCorruption) {
-      std::fprintf(stderr,
-                   "%s\n(hint: `convert` takes a TGRAIDX1 input; "
-                   "a TGRAIDX2 snapshot needs no conversion)\n",
-                   index.status().ToString().c_str());
-      return 1;
-    }
-    return Fail(index.status());
-  }
-  const tegra::Status written = tegra::store::WriteSnapshot(index.value(), out);
-  if (!written.ok()) return Fail(written);
-  std::printf("converted %s -> %s (TGRAIDX2)\n", in.c_str(), out.c_str());
-  return 0;
-}
-
 int CmdVerify(int argc, char** argv) {
   if (argc != 1) {
     PrintUsage();
@@ -313,7 +267,6 @@ int main(int argc, char** argv) {
   if (cmd == "build-sharded") return CmdBuildSharded(argc - 2, argv + 2);
   if (cmd == "append") return CmdAppend(argc - 2, argv + 2);
   if (cmd == "compact") return CmdCompact(argc - 2, argv + 2);
-  if (cmd == "convert") return CmdConvert(argc - 2, argv + 2);
   if (cmd == "verify") return CmdVerify(argc - 2, argv + 2);
   if (cmd == "stats") return CmdStats(argc - 2, argv + 2);
   if (cmd == "digest") return CmdDigest(argc - 2, argv + 2);

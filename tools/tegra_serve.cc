@@ -5,7 +5,7 @@
 //
 //   $ printf '%s\n' '{"id":1,"lines":["Boston Massachusetts 645,966",
 //     "Worcester Massachusetts 182,544"]}' '{"cmd":"metrics"}' |
-//     ./tegra_serve --corpus web.idx
+//     ./tegra_serve --corpus web.idx2
 //
 // Request objects:
 //   {"id": <any>, "lines": ["row", ...],          // required
@@ -20,7 +20,7 @@
 //                               (inline "body", or {"file":"path"} —
 //                               loadable in ui.perfetto.dev)
 //   {"cmd": "slowlog"}       -> the N slowest requests with span trees
-//   {"cmd": "corpus_reload"} -> reopen --corpus (TGRAIDX1 or TGRAIDX2) and
+//   {"cmd": "corpus_reload"} -> reopen --corpus (TGRAIDX2 or TGRSMAN1) and
 //                               atomically swap the engine to the new
 //                               generation; in-flight requests finish on the
 //                               generation they started with. Replies
@@ -102,7 +102,6 @@
 #include "prof/profiler.h"
 #include "prof/runtime_stats.h"
 #include "prof/wide_event.h"
-#include "corpus/corpus_io.h"
 #include "corpus/corpus_stats.h"
 #include "net/http_server.h"
 #include "qos/degradation.h"
@@ -131,8 +130,8 @@ void PrintUsage() {
 Long-lived TEGRA extraction service over stdin/stdout (NDJSON).
 
 options:
-  --corpus PATH           load a background index — TGRAIDX1 (heap) or
-                          TGRAIDX2 (mmap snapshot, see tegra_corpusctl);
+  --corpus PATH           load a background corpus — a TGRAIDX2 snapshot or a
+                          sharded directory (see tegra_corpusctl);
                           {"cmd":"corpus_reload"} or SIGHUP re-opens it and
                           hot-swaps the engine without dropping requests
   --build-corpus SPEC     build a synthetic corpus; SPEC = profile:tables:seed
@@ -757,8 +756,8 @@ int main(int argc, char** argv) {
   manager_options.metrics = &registry;
   std::unique_ptr<tegra::store::CorpusManager> manager;
   if (!opts.corpus_path.empty()) {
-    // TGRAIDX1 or TGRAIDX2, magic-sniffed; corpus_reload / SIGHUP re-open
-    // the same path.
+    // TGRAIDX2 snapshot or TGRSMAN1 manifest, magic-sniffed;
+    // corpus_reload / SIGHUP re-open the same path.
     manager = std::make_unique<tegra::store::CorpusManager>(opts.corpus_path,
                                                             manager_options);
     const tegra::Status loaded = manager->Reload();
