@@ -4,7 +4,7 @@
 # concurrency-sensitive code (histograms, trace ring, thread pool, serving
 # layer) is exercised under ThreadSanitizer, and the whole suite (including
 # the snapshot / manifest / HTTP decoders of untrusted bytes) runs under
-# AddressSanitizer.
+# AddressSanitizer and UndefinedBehaviorSanitizer.
 #
 # Configurations:
 #   1. default        — TEGRA_TRACE=ON, full ctest suite
@@ -25,10 +25,16 @@
 #   4. asan           — TEGRA_SANITIZE=address; the full ctest suite, so
 #                       every test (corruption matrices, parser edge cases,
 #                       e2e daemons) also proves it stays in bounds
+#   5. ubsan          — TEGRA_SANITIZE=undefined; the full ctest suite with
+#                       UBSAN_OPTIONS=halt_on_error=1, so any report (signed
+#                       overflow, bad shift, misaligned load, ...) aborts
+#                       the test — the e2e daemons inherit it — instead of
+#                       only printing
 #
 # Usage:
-#   scripts/check.sh            # all four configurations
-#   scripts/check.sh default    # just one (default | trace-off | tsan | asan)
+#   scripts/check.sh            # all five configurations
+#   scripts/check.sh default    # just one (default | trace-off | tsan | asan
+#                               #           | ubsan)
 #
 # Each configuration gets its own build directory (build-check-*) so this
 # never clobbers an existing developer `build/`.
@@ -93,6 +99,15 @@ if [[ "$ONLY" == "all" || "$ONLY" == "asan" ]]; then
   (cd "$ROOT/build-check-asan" &&
     run ctest --output-on-failure --timeout 600)
   echo "=== [asan] OK ==="
+fi
+
+if [[ "$ONLY" == "all" || "$ONLY" == "ubsan" ]]; then
+  configure_and_build ubsan -DTEGRA_SANITIZE=undefined -DTEGRA_TRACE=ON
+  echo "=== [ubsan] test (full suite) ==="
+  (cd "$ROOT/build-check-ubsan" &&
+    UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+      run ctest --output-on-failure --timeout 600)
+  echo "=== [ubsan] OK ==="
 fi
 
 echo "All requested configurations passed."

@@ -8,8 +8,7 @@
 //    (appended by trace::ToPrometheusText) — the standard "info metric"
 //    pattern, joinable against every other series of the process.
 //  * JSON: MetricsSnapshot::ToJson() carries a "build" object, so the
-//    daemon's {"cmd":"metrics"} snapshot and the /varz admin page are
-//    self-identifying.
+//    daemon's /varz admin page is self-identifying.
 //  * /statusz renders it as the page header.
 
 #ifndef TEGRA_COMMON_BUILD_INFO_H_

@@ -191,8 +191,12 @@ __attribute__((no_sanitize("address", "thread"))) uintptr_t ScanForFrame(
 // record (one above the stack pointer, whose saved fp ends the chain or
 // points further toward the base), the walk resumes from the nearest saved
 // frame pointer above the stack pointer, losing only the frames in between.
-void WalkFrameChain(const ThreadSlot* slot, uintptr_t pc, uintptr_t fp,
-                    uintptr_t sp, Sample* s) {
+// Such a scratch fp can also point into a live frame's sanitizer redzone
+// (a sample landing in ASan's allocator does this), so the record reads
+// carry the same exemptions as ScanForFrame's.
+__attribute__((no_sanitize("address", "thread"))) void WalkFrameChain(
+    const ThreadSlot* slot, uintptr_t pc, uintptr_t fp, uintptr_t sp,
+    Sample* s) {
   uint32_t depth = 0;
   s->pcs[depth++] = pc;
   const uintptr_t* first = fp >= sp ? RecordAt(slot, fp) : nullptr;

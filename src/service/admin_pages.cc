@@ -139,6 +139,20 @@ constexpr Route kRoutes[] = {
     {"/qosz", &AdminPages::Qosz},
 };
 
+/// One recorded span: an entry of a slow-request record's span tree.
+JsonValue SpanToJson(const trace::TraceEvent& span) {
+  JsonValue s = JsonValue::Object();
+  s.Set("name", JsonValue::Str(span.name));
+  s.Set("cat", JsonValue::Str(span.category));
+  s.Set("span_id", JsonValue::Number(static_cast<double>(span.span_id)));
+  s.Set("parent_id", JsonValue::Number(static_cast<double>(span.parent_id)));
+  s.Set("start_us", JsonValue::Number(static_cast<double>(span.start_us)));
+  s.Set("dur_us", JsonValue::Number(static_cast<double>(span.duration_us)));
+  s.Set("tid", JsonValue::Number(span.thread_id));
+  s.Set("depth", JsonValue::Number(span.depth));
+  return s;
+}
+
 }  // namespace
 
 std::string HtmlEscape(std::string_view s) {
@@ -154,19 +168,6 @@ std::string HtmlEscape(std::string_view s) {
     }
   }
   return out;
-}
-
-JsonValue SpanToJson(const trace::TraceEvent& span) {
-  JsonValue s = JsonValue::Object();
-  s.Set("name", JsonValue::Str(span.name));
-  s.Set("cat", JsonValue::Str(span.category));
-  s.Set("span_id", JsonValue::Number(static_cast<double>(span.span_id)));
-  s.Set("parent_id", JsonValue::Number(static_cast<double>(span.parent_id)));
-  s.Set("start_us", JsonValue::Number(static_cast<double>(span.start_us)));
-  s.Set("dur_us", JsonValue::Number(static_cast<double>(span.duration_us)));
-  s.Set("tid", JsonValue::Number(span.thread_id));
-  s.Set("depth", JsonValue::Number(span.depth));
-  return s;
 }
 
 JsonValue SlowlogToJson(const SlowRequestLog& slowlog) {

@@ -184,10 +184,6 @@ class AdminPages {
   std::list<ProfileCapture> captures_;  // Guarded by captures_mu_.
 };
 
-/// \brief Renders one recorded span as a JSON object (shared by the daemon's
-/// {"cmd":"slowlog"} and /slowlogz?format=json).
-JsonValue SpanToJson(const trace::TraceEvent& span);
-
 /// \brief Renders the slow-request log as {"ok":true,"records":[...]}.
 JsonValue SlowlogToJson(const SlowRequestLog& slowlog);
 

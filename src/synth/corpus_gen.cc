@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <string>
+#include "common/string_util.h"
 #include "corpus/column_index.h"
 
 namespace tegra::synth {
@@ -119,6 +121,33 @@ const char* CorpusProfileName(CorpusProfile profile) {
       return "Enterprise";
   }
   return "unknown";
+}
+
+Result<CorpusSpec> ParseCorpusSpec(const std::string& spec) {
+  const std::vector<std::string> parts = SplitExact(spec, ":");
+  const Status bad = Status::InvalidArgument("bad corpus spec: " + spec);
+  CorpusSpec out;
+  if (parts[0] == "web") {
+    out.profile = CorpusProfile::kWeb;
+  } else if (parts[0] == "wiki") {
+    out.profile = CorpusProfile::kWiki;
+  } else if (parts[0] == "enterprise") {
+    out.profile = CorpusProfile::kEnterprise;
+  } else {
+    return Status::InvalidArgument("unknown profile in corpus spec: " + spec);
+  }
+  if (parts.size() > 3) return bad;
+  // Table count, then seed: each a whole non-negative decimal integer.
+  uint64_t fields[2] = {out.tables, out.seed};
+  for (size_t i = 1; i < parts.size(); ++i) {
+    const std::string& text = parts[i];
+    const char* end = text.data() + text.size();
+    const auto parsed = std::from_chars(text.data(), end, fields[i - 1]);
+    if (parsed.ec != std::errc() || parsed.ptr != end) return bad;
+  }
+  out.tables = static_cast<size_t>(fields[0]);
+  out.seed = fields[1];
+  return out;
 }
 
 TableGenOptions DefaultTableGenOptions(CorpusProfile profile) {

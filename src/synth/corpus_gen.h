@@ -6,9 +6,11 @@
 #define TEGRA_SYNTH_CORPUS_GEN_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "common/status.h"
 #include "corpus/column_index.h"
 #include "corpus/table.h"
 #include "synth/domain.h"
@@ -23,6 +25,20 @@ enum class CorpusProfile {
 };
 
 const char* CorpusProfileName(CorpusProfile profile);
+
+/// \brief A synthetic corpus recipe: `tables` generated tables of `profile`
+/// from `seed`.
+struct CorpusSpec {
+  CorpusProfile profile = CorpusProfile::kWeb;
+  size_t tables = 5000;
+  uint64_t seed = 1;
+};
+
+/// \brief Parses the `profile[:tables[:seed]]` corpus spec every tool takes,
+/// with profile in {web, wiki, enterprise}; omitted fields keep the
+/// CorpusSpec defaults. An unknown profile, or a table count or seed that is
+/// not a non-negative integer, is InvalidArgument.
+Result<CorpusSpec> ParseCorpusSpec(const std::string& spec);
 
 /// \brief Shape parameters for table generation.
 struct TableGenOptions {

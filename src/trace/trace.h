@@ -28,7 +28,7 @@
 // Compile-time removal: building with -DTEGRA_TRACE=OFF (CMake) defines
 // TEGRA_TRACE_ENABLED=0, which turns Span and TraceContext into empty inline
 // stubs — instrumented call sites compile to nothing. The Tracer, exporters
-// and logger remain so `trace_dump` et al. still link (and report empty).
+// and logger remain so /tracez et al. still link (and report empty).
 //
 // Threading rules: a Span must be destroyed on the thread that created it
 // (guaranteed by RAII scoping; Span is neither copyable nor movable). A

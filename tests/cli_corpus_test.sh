@@ -5,12 +5,15 @@
 # sharded directory of the same tables (what tegra_serve reloads) gives the
 # same tables too, and --save-corpus together with --corpus is a usage error.
 #
-# Usage: cli_corpus_test.sh TEGRA_CLI TEGRA_CORPUSCTL
+# corpus_inspector --build rejects an unknown profile.
+#
+# Usage: cli_corpus_test.sh TEGRA_CLI TEGRA_CORPUSCTL CORPUS_INSPECTOR
 
 set -euo pipefail
 
 CLI="$1"
 CORPUSCTL="$2"
+INSPECTOR="$3"
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
@@ -48,5 +51,8 @@ rc=0
   "$WORK/list.txt" > /dev/null 2>&1 || rc=$?
 [[ "$rc" -eq 2 ]] || fail "--corpus with --save-corpus exited $rc, want 2"
 [[ ! -e "$WORK/copy.idx2" ]] || fail "--corpus with --save-corpus wrote a file"
+
+! "$INSPECTOR" --build foo:100 > /dev/null 2>&1 ||
+  fail "corpus_inspector --build foo:100 succeeded"
 
 echo "cli_corpus_test: ok"

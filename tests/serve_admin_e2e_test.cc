@@ -3,11 +3,15 @@
 // {"event":"admin_ready","port":N} stdout line, fetches every zPage over real
 // sockets, drives extractions through stdin and checks they appear in a real
 // Prometheus scrape, and saturates the (deliberately tiny) queue to observe
-// /readyz flip to 503.
+// /readyz flip to 503. It also pins the stdin contract: a lone request is
+// answered while stdin stays open, and the retired telemetry commands are
+// counted bad requests (their data lives on the admin plane).
 //
 // The binary path is injected at compile time via TEGRA_SERVE_BINARY.
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <string>
 #include <vector>
@@ -37,16 +41,12 @@ TEST(ServeAdminE2eTest, FullAdminPlaneAgainstRealDaemon) {
   const int port = static_cast<int>((*ready)["port"].AsNumber(0));
   ASSERT_GT(port, 0) << ready_line;
 
-  // 2. Drive one extraction through stdin so the telemetry has content. The
-  //    daemon pipelines responses, so chase the request with a control
-  //    command — control commands flush everything in flight first.
+  // 2. Drive one extraction through stdin so the telemetry has content.
   ASSERT_TRUE(daemon.WriteLine(ExtractionRequestLine(1, 8, 0)));
-  ASSERT_TRUE(daemon.WriteLine("{\"cmd\":\"metrics\"}"));
   const std::string response_line = daemon.NextLine();
   const auto response = ParseJson(response_line);
   ASSERT_TRUE(response.ok()) << response_line;
   EXPECT_TRUE((*response)["ok"].AsBool(false)) << response_line;
-  (void)daemon.NextLine();  // Discard the metrics snapshot used as a flush.
 
   // 3. Every endpoint answers 200 with plausible content.
   struct Endpoint {
@@ -139,8 +139,8 @@ TEST(ServeAdminE2eTest, AdminDisabledByDefault) {
   ServeProcess daemon;
   ASSERT_TRUE(daemon.Start({"--build-corpus", "web:200:3"}));
   // No admin plane: the first output must be a response to our request, not
-  // an admin_ready event. Quit immediately — EOF of the control channel
-  // flushes the pipelined response before the daemon exits.
+  // an admin_ready event. Quit immediately — the daemon answers every
+  // request it read before it exits.
   ASSERT_TRUE(daemon.WriteLine(ExtractionRequestLine(1, 6, 0)));
   ASSERT_TRUE(daemon.WriteLine("{\"cmd\":\"quit\"}"));
   daemon.CloseStdin();
@@ -152,31 +152,68 @@ TEST(ServeAdminE2eTest, AdminDisabledByDefault) {
   EXPECT_EQ(daemon.Wait(), 0);
 }
 
-TEST(ServeAdminE2eTest, UnwritableDumpFileCountsAsBadRequest) {
+/// Reads the admin_ready line and returns the bound port (0 on failure).
+int AdminPort(ServeProcess* daemon) {
+  const std::string line = daemon->NextLine();
+  const auto ready = ParseJson(line);
+  if (!ready.ok() || (*ready)["event"].AsString() != "admin_ready") return 0;
+  return static_cast<int>((*ready)["port"].AsNumber(0));
+}
+
+TEST(ServeAdminE2eTest, LoneRequestIsAnsweredWhileStdinStaysOpen) {
   ServeProcess daemon;
   ASSERT_TRUE(daemon.Start({"--build-corpus", "web:200:3", "--admin-port",
                             "0"}));
-  ASSERT_FALSE(daemon.NextLine().empty());  // admin_ready
+  // admin_ready is written once the corpus is built, so the 5 s below
+  // measure the request, not the startup.
+  ASSERT_GT(AdminPort(&daemon), 0);
+  ASSERT_TRUE(daemon.WriteLine(ExtractionRequestLine(1, 2, 0)));
+  const std::string line = daemon.NextLine(/*timeout_ms=*/5000);
+  ASSERT_FALSE(line.empty()) << "no reply within 5 s while stdin was open";
+  const auto reply = ParseJson(line);
+  ASSERT_TRUE(reply.ok()) << line;
+  EXPECT_TRUE((*reply)["ok"].AsBool(false)) << line;
+  EXPECT_EQ((*reply)["id"].AsNumber(0), 1) << line;
 
-  // A control command with a valid cmd but an unwritable file path must fail
-  // with a structured IOError...
-  ASSERT_TRUE(daemon.WriteLine(
-      "{\"id\":9,\"cmd\":\"metrics_prom\",\"file\":"
-      "\"/nonexistent-dir/metrics.prom\"}"));
-  const std::string line = daemon.NextLine();
-  const auto parsed = ParseJson(line);
-  ASSERT_TRUE(parsed.ok()) << line;
-  EXPECT_FALSE((*parsed)["ok"].AsBool(true)) << line;
-  EXPECT_EQ((*parsed)["code"].AsString(), "IOError") << line;
-  EXPECT_EQ((*parsed)["id"].AsNumber(0), 9) << line;
+  ASSERT_TRUE(daemon.WriteLine("{\"cmd\":\"quit\"}"));
+  daemon.CloseStdin();
+  EXPECT_EQ(daemon.Wait(), 0);
+}
 
-  // ...and the failure must be visible in serve.bad_request.
-  ASSERT_TRUE(daemon.WriteLine("{\"cmd\":\"metrics\"}"));
-  const std::string metrics_line = daemon.NextLine();
-  const auto metrics = ParseJson(metrics_line);
-  ASSERT_TRUE(metrics.ok()) << metrics_line;
-  EXPECT_EQ((*metrics)["counters"]["serve.bad_request"].AsNumber(0), 1)
-      << metrics_line;
+TEST(ServeAdminE2eTest, RetiredTelemetryCommandsAreBadRequests) {
+  ServeProcess daemon;
+  ASSERT_TRUE(daemon.Start({"--build-corpus", "web:200:3", "--admin-port",
+                            "0"}));
+  const int port = AdminPort(&daemon);
+  ASSERT_GT(port, 0);
+  const std::string dump_path = testing::TempDir() + "retired_trace_dump_" +
+                                std::to_string(::getpid()) + ".json";
+  ::unlink(dump_path.c_str());
+
+  // Telemetry lives on the admin plane (/varz, /tracez, ...); the stdin
+  // commands that mirrored it are unknown now, and a "file" key is inert.
+  ASSERT_TRUE(daemon.WriteLine("{\"id\":9,\"cmd\":\"metrics\"}"));
+  ASSERT_TRUE(daemon.WriteLine("{\"cmd\":\"trace_dump\",\"file\":\"" +
+                               dump_path + "\"}"));
+  const struct {
+    const char* cmd;
+    double id;
+  } expected[] = {{"metrics", 9}, {"trace_dump", 0}};
+  for (const auto& want : expected) {
+    const std::string line = daemon.NextLine();
+    const auto parsed = ParseJson(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    EXPECT_FALSE((*parsed)["ok"].AsBool(true)) << line;
+    EXPECT_EQ((*parsed)["code"].AsString(), "InvalidArgument") << line;
+    EXPECT_EQ((*parsed)["error"].AsString(),
+              std::string("unknown cmd: ") + want.cmd)
+        << line;
+    EXPECT_EQ((*parsed).Has("id"), want.id != 0) << line;
+    EXPECT_EQ((*parsed)["id"].AsNumber(0), want.id) << line;
+  }
+  EXPECT_EQ(VarzCounter(port, "serve.bad_request"), 2);
+  EXPECT_NE(::access(dump_path.c_str(), F_OK), 0)
+      << "a retired command created " << dump_path;
 
   ASSERT_TRUE(daemon.WriteLine("{\"cmd\":\"quit\"}"));
   daemon.CloseStdin();

@@ -6,6 +6,8 @@
 //  * 64 concurrent keep-alive clients with ZERO failed in-flight requests
 //    while SIGHUP hot-reloads the corpus underneath them,
 //  * batch bodies ({"requests":[...]}) answered in order with ids echoed,
+//  * a stdin NDJSON reply and a POST /v1/extract reply for the same list
+//    having the same keys (one serializer),
 //  * queue saturation surfacing as HTTP 503 + Retry-After (never a reset),
 //  * transport deadlines (stalled mid-request -> 408) and queue deadlines
 //    (expired deadline_ms -> 408),
@@ -202,6 +204,47 @@ TEST(ServeHttpE2eTest, BatchBodiesAndErrorMapping) {
   EXPECT_EQ(wrong_path.value().status, 404);
 
   EXPECT_EQ(client.connects(), 1u);
+  Quit(&daemon);
+}
+
+/// The key names of a JSON object, sorted.
+std::vector<std::string> Keys(const JsonValue& object) {
+  std::vector<std::string> keys;
+  for (const auto& entry : object.AsObject()) keys.push_back(entry.first);
+  return keys;
+}
+
+TEST(ServeHttpE2eTest, NdjsonAndHttpRepliesShareOneShape) {
+  ServeProcess daemon;
+  ASSERT_TRUE(daemon.Start({"--build-corpus", "web:200:1", "--port", "0"}));
+  const ReadyPorts ports = ReadReadyEvents(&daemon, /*expect_admin=*/false);
+  ASSERT_GT(ports.data, 0);
+  net::HttpClient client("127.0.0.1", ports.data, /*timeout_ms=*/30000);
+
+  // The same list over both channels, with an id and without one.
+  const std::string with_id = ExtractionRequestLine(7, 6, 0);
+  auto without_id = ParseJson(with_id);
+  ASSERT_TRUE(without_id.ok());
+  JsonValue anonymous = JsonValue::Object();
+  for (const auto& entry : without_id->AsObject()) {
+    if (entry.first != "id") anonymous.Set(entry.first, entry.second);
+  }
+  for (const std::string& body : {with_id, anonymous.Dump()}) {
+    ASSERT_TRUE(daemon.WriteLine(body));
+    const std::string line = daemon.NextLine();
+    const auto ndjson = ParseJson(line);
+    ASSERT_TRUE(ndjson.ok()) << line;
+    auto http = client.Post("/v1/extract", body);
+    ASSERT_TRUE(http.ok()) << http.status().ToString();
+    ASSERT_EQ(http->status, 200) << http->body;
+    const auto http_json = ParseJson(http->body);
+    ASSERT_TRUE(http_json.ok()) << http->body;
+    EXPECT_TRUE((*ndjson)["ok"].AsBool(false)) << line;
+    EXPECT_EQ(Keys(*ndjson), Keys(*http_json))
+        << "ndjson: " << line << "\nhttp: " << http->body;
+    EXPECT_EQ((*ndjson)["rows"].Dump(), (*http_json)["rows"].Dump());
+    EXPECT_EQ((*ndjson).Has("id"), body == with_id) << line;
+  }
   Quit(&daemon);
 }
 

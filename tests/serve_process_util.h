@@ -1,7 +1,7 @@
 // Shared harness for end-to-end tests that drive the real tegra_serve
 // binary: fork/exec with stdin/stdout pipes, a reader thread so the child
-// can never block on a full stdout pipe, and a canned extraction-request
-// builder. Used by serve_admin_e2e_test and serve_reload_e2e_test.
+// can never block on a full stdout pipe, a canned extraction-request
+// builder and /varz readers. Used by the serve_*_e2e tests.
 //
 // The including target must define TEGRA_SERVE_BINARY (the compile-time
 // path of the daemon binary).
@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/http_client.h"
 #include "service/serve_json.h"
 
 #ifndef TEGRA_SERVE_BINARY
@@ -172,6 +173,25 @@ inline std::string ExtractionRequestLine(int id, size_t num_lines,
   request.Set("lines", std::move(lines));
   request.Set("bypass_cache", JsonValue::Bool(true));
   return request.Dump();
+}
+
+/// One metric out of a /varz scrape of the admin plane on `port`; `section`
+/// is "counters" or "gauges". -1 when the scrape fails or the name is absent.
+inline double VarzValue(int port, const std::string& section,
+                        const std::string& name) {
+  const auto varz = net::HttpClient("127.0.0.1", port).Get("/varz");
+  if (!varz.ok() || varz->status != 200) return -1;
+  const auto parsed = ParseJson(varz->body);
+  if (!parsed.ok()) return -1;
+  return (*parsed)[section][name].AsNumber(-1);
+}
+
+inline double VarzGauge(int port, const std::string& name) {
+  return VarzValue(port, "gauges", name);
+}
+
+inline double VarzCounter(int port, const std::string& name) {
+  return VarzValue(port, "counters", name);
 }
 
 }  // namespace serve

@@ -23,7 +23,6 @@
 
 #include "common/file_util.h"
 #include "corpus/column_index.h"
-#include "net/http_client.h"
 #include "serve_process_util.h"
 #include "service/serve_json.h"
 #include "shard/shard_builder.h"
@@ -58,14 +57,6 @@ void BuildShardedOrDie(const std::string& dir,
   for (const Table& t : tables) builder.AddTable(t);
   const auto stats = builder.Finish();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-}
-
-double VarzGauge(int port, const std::string& name) {
-  const auto varz = net::HttpClient("127.0.0.1", port).Get("/varz");
-  if (!varz.ok() || varz->status != 200) return -1;
-  const auto parsed = ParseJson(varz->body);
-  if (!parsed.ok()) return -1;
-  return (*parsed)["gauges"][name].AsNumber(-1);
 }
 
 /// An extraction request over arbitrary line content (the canned helper
@@ -143,16 +134,12 @@ TEST(ServeShardReloadE2eTest, OverlayAppendReloadIsODeltaWithZeroFailures) {
   EXPECT_EQ(VarzGauge(port, "corpus.parts_reused"), 4);
   EXPECT_GT(VarzGauge(port, "corpus.values"), base_values);
 
-  // Queries over overlay-only values run against the new generation. The
-  // daemon pipelines extraction responses, so a standalone request is chased
-  // with a control command whose Flush(0) pushes the response out.
+  // Queries over overlay-only values run against the new generation.
   ASSERT_TRUE(daemon.WriteLine(CustomRequestLine(next_id++, overlay_only)));
-  ASSERT_TRUE(daemon.WriteLine("{\"cmd\":\"metrics\"}"));
   const std::string overlay_line = daemon.NextLine();
   const auto overlay_response = ParseJson(overlay_line);
   ASSERT_TRUE(overlay_response.ok()) << overlay_line;
   EXPECT_TRUE((*overlay_response)["ok"].AsBool(false)) << overlay_line;
-  daemon.NextLine();  // metrics payload
 
   // A corrupted manifest must be rejected at open: the reload fails, the
   // generation holds, and the old sharded corpus keeps serving.
@@ -171,13 +158,11 @@ TEST(ServeShardReloadE2eTest, OverlayAppendReloadIsODeltaWithZeroFailures) {
   EXPECT_FALSE((*bad)["ok"].AsBool(true)) << bad_line;
   EXPECT_EQ((*bad)["generation"].AsNumber(0), 2) << bad_line;
   ASSERT_TRUE(daemon.WriteLine(ExtractionRequestLine(next_id++, 16, 0)));
-  ASSERT_TRUE(daemon.WriteLine("{\"cmd\":\"metrics\"}"));
   const std::string after_line = daemon.NextLine();
   const auto after = ParseJson(after_line);
   ASSERT_TRUE(after.ok()) << after_line;
   EXPECT_TRUE((*after)["ok"].AsBool(false))
       << "old generation stopped serving after failed reload: " << after_line;
-  daemon.NextLine();  // metrics payload
   ASSERT_TRUE(AtomicWriteFile(manifest_path, manifest_bytes.value()).ok());
 
   // Compaction folds the overlay into new shard files; SIGHUP picks the new
@@ -200,12 +185,10 @@ TEST(ServeShardReloadE2eTest, OverlayAppendReloadIsODeltaWithZeroFailures) {
 
   // Overlay-only values survived compaction.
   ASSERT_TRUE(daemon.WriteLine(CustomRequestLine(next_id++, overlay_only)));
-  ASSERT_TRUE(daemon.WriteLine("{\"cmd\":\"metrics\"}"));
   const std::string compacted_line = daemon.NextLine();
   const auto compacted = ParseJson(compacted_line);
   ASSERT_TRUE(compacted.ok()) << compacted_line;
   EXPECT_TRUE((*compacted)["ok"].AsBool(false)) << compacted_line;
-  daemon.NextLine();  // metrics payload
 
   ASSERT_TRUE(daemon.WriteLine("{\"cmd\":\"quit\"}"));
   daemon.CloseStdin();

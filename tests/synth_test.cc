@@ -170,6 +170,43 @@ TEST(DomainTest, NumericClassification) {
 
 // ---- table generation --------------------------------------------------------
 
+TEST(CorpusSpecTest, ParsesValidSpecsAndRejectsMalformedOnes) {
+  struct Case {
+    const char* spec;
+    bool ok;
+    CorpusProfile profile;
+    size_t tables;
+    uint64_t seed;
+  };
+  const Case cases[] = {
+      {"web:300:7", true, CorpusProfile::kWeb, 300, 7},
+      {"enterprise:0:0", true, CorpusProfile::kEnterprise, 0, 0},
+      {"wiki", true, CorpusProfile::kWiki, 5000, 1},  // defaults
+      {"web:12", true, CorpusProfile::kWeb, 12, 1},
+      {"foo:100", false, {}, 0, 0},  // unknown profile
+      {"Web:100", false, {}, 0, 0},
+      {"", false, {}, 0, 0},
+      {"web:abc", false, {}, 0, 0},  // non-numeric count
+      {"web:", false, {}, 0, 0},
+      {"web:-5", false, {}, 0, 0},
+      {"web:12x", false, {}, 0, 0},
+      {"web:10:seed", false, {}, 0, 0},
+      {"web:10:1:extra", false, {}, 0, 0},
+  };
+  for (const Case& c : cases) {
+    const auto parsed = ParseCorpusSpec(c.spec);
+    ASSERT_EQ(parsed.ok(), c.ok) << c.spec;
+    if (!c.ok) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+          << c.spec;
+      continue;
+    }
+    EXPECT_EQ(parsed->profile, c.profile) << c.spec;
+    EXPECT_EQ(parsed->tables, c.tables) << c.spec;
+    EXPECT_EQ(parsed->seed, c.seed) << c.spec;
+  }
+}
+
 TEST(TableGeneratorTest, DeterministicGivenSeed) {
   TableGenerator a(CorpusProfile::kWeb, 99);
   TableGenerator b(CorpusProfile::kWeb, 99);

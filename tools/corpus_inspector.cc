@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/string_util.h"
 #include "corpus/column_index.h"
 #include "corpus/corpus_stats.h"
 #include "corpus/corpus_view.h"
@@ -90,15 +89,14 @@ int main(int argc, char** argv) {
       std::printf("\n");
     }
   } else {
-    const auto parts = tegra::SplitExact(build_spec, ":");
-    tegra::synth::CorpusProfile profile =
-        parts[0] == "enterprise" ? tegra::synth::CorpusProfile::kEnterprise
-        : parts[0] == "wiki"     ? tegra::synth::CorpusProfile::kWiki
-                                 : tegra::synth::CorpusProfile::kWeb;
-    const size_t tables = parts.size() > 1 ? std::atoll(parts[1].c_str()) : 5000;
-    const uint64_t seed = parts.size() > 2 ? std::atoll(parts[2].c_str()) : 1;
+    auto spec = tegra::synth::ParseCorpusSpec(build_spec);
+    if (!spec.ok()) {
+      std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
+      return 1;
+    }
     view = std::make_shared<tegra::ColumnIndex>(
-        tegra::synth::BuildBackgroundIndex(profile, tables, seed));
+        tegra::synth::BuildBackgroundIndex(spec->profile, spec->tables,
+                                           spec->seed));
   }
   const tegra::CorpusView& index = *view;
   tegra::CorpusStats stats(&index);

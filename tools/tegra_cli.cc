@@ -67,7 +67,7 @@ struct CliOptions {
   std::string input = "-";
   int columns = 0;
   std::string corpus_path;
-  std::string build_spec;
+  std::string build_spec = "web:5000:1";
   std::string save_corpus;
   std::string format = "table";
   std::vector<std::string> example_specs;
@@ -149,32 +149,14 @@ tegra::Result<std::shared_ptr<const tegra::CorpusView>> BuildOrLoadCorpus(
     if (!loaded.ok()) return loaded.status();
     return loaded->view;
   }
-  std::string spec = opts.build_spec.empty() ? "web:5000:1" : opts.build_spec;
-  const auto parts = tegra::SplitExact(spec, ":");
-  if (parts.empty() || parts.size() > 3) {
-    return tegra::Status::InvalidArgument("bad --build-corpus spec: " + spec);
-  }
-  tegra::synth::CorpusProfile profile;
-  if (parts[0] == "web") {
-    profile = tegra::synth::CorpusProfile::kWeb;
-  } else if (parts[0] == "wiki") {
-    profile = tegra::synth::CorpusProfile::kWiki;
-  } else if (parts[0] == "enterprise") {
-    profile = tegra::synth::CorpusProfile::kEnterprise;
-  } else {
-    return tegra::Status::InvalidArgument("unknown profile: " + parts[0]);
-  }
-  const size_t tables =
-      parts.size() > 1 ? static_cast<size_t>(std::atoll(parts[1].c_str()))
-                       : 5000;
-  const uint64_t seed =
-      parts.size() > 2 ? static_cast<uint64_t>(std::atoll(parts[2].c_str()))
-                       : 1;
+  auto spec = tegra::synth::ParseCorpusSpec(opts.build_spec);
+  if (!spec.ok()) return spec.status();
   std::fprintf(stderr, "building %s corpus (%zu tables, seed %llu)...\n",
-               parts[0].c_str(), tables,
-               static_cast<unsigned long long>(seed));
+               tegra::synth::CorpusProfileName(spec->profile), spec->tables,
+               static_cast<unsigned long long>(spec->seed));
   auto index = std::make_shared<tegra::ColumnIndex>(
-      tegra::synth::BuildBackgroundIndex(profile, tables, seed));
+      tegra::synth::BuildBackgroundIndex(spec->profile, spec->tables,
+                                         spec->seed));
   if (!opts.save_corpus.empty()) {
     tegra::Status s = tegra::store::WriteSnapshot(*index, opts.save_corpus);
     if (!s.ok()) std::fprintf(stderr, "save-corpus: %s\n", s.ToString().c_str());

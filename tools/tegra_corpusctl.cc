@@ -67,40 +67,12 @@ commands:
              stderr);
 }
 
-struct CorpusSpec {
-  tegra::synth::CorpusProfile profile;
-  size_t tables;
-  uint64_t seed;
-};
-
-tegra::Result<CorpusSpec> ParseSpec(const std::string& spec) {
-  const auto parts = tegra::SplitExact(spec, ":");
-  if (parts.empty() || parts.size() > 3) {
-    return tegra::Status::InvalidArgument("bad corpus spec: " + spec);
-  }
-  CorpusSpec out;
-  if (parts[0] == "web") {
-    out.profile = tegra::synth::CorpusProfile::kWeb;
-  } else if (parts[0] == "wiki") {
-    out.profile = tegra::synth::CorpusProfile::kWiki;
-  } else if (parts[0] == "enterprise") {
-    out.profile = tegra::synth::CorpusProfile::kEnterprise;
-  } else {
-    return tegra::Status::InvalidArgument("unknown profile: " + parts[0]);
-  }
-  out.tables = parts.size() > 1
-                   ? static_cast<size_t>(std::atoll(parts[1].c_str()))
-                   : 5000;
-  out.seed = parts.size() > 2
-                 ? static_cast<uint64_t>(std::atoll(parts[2].c_str()))
-                 : 1;
-  return out;
-}
+using tegra::synth::CorpusSpec;
 
 tegra::Result<std::vector<CorpusSpec>> ParseSpecList(const std::string& list) {
   std::vector<CorpusSpec> specs;
   for (const auto& spec : tegra::SplitExact(list, ",")) {
-    auto parsed = ParseSpec(spec);
+    auto parsed = tegra::synth::ParseCorpusSpec(spec);
     if (!parsed.ok()) return parsed.status();
     specs.push_back(parsed.value());
   }

@@ -1,10 +1,11 @@
 // tegra_serve — a long-lived extraction daemon speaking newline-delimited
-// JSON over stdin/stdout. One request per line in, one response per line out
-// (in submission order), so the service layer is driveable end-to-end with
-// nothing but a pipe:
+// JSON over stdin/stdout. One request per line in, one reply per line out,
+// in submission order. Each reply is written as soon as it and every
+// earlier reply are complete, so the service layer is driveable end-to-end
+// with nothing but a pipe:
 //
 //   $ printf '%s\n' '{"id":1,"lines":["Boston Massachusetts 645,966",
-//     "Worcester Massachusetts 182,544"]}' '{"cmd":"metrics"}' |
+//     "Worcester Massachusetts 182,544"]}' '{"cmd":"quit"}' |
 //     ./tegra_serve --corpus web.idx2
 //
 // Request objects:
@@ -12,27 +13,15 @@
 //    "columns": N,                                 // optional, 0 = auto
 //    "deadline_ms": D,                             // optional
 //    "bypass_cache": true}                         // optional
-// Control objects:
-//   {"cmd": "metrics"}       -> one JSON metrics snapshot
-//   {"cmd": "metrics_prom"}  -> Prometheus text exposition (inline "body",
-//                               or to disk with {"file":"path"})
-//   {"cmd": "trace_dump"}    -> Chrome trace_event JSON of the span ring
-//                               (inline "body", or {"file":"path"} —
-//                               loadable in ui.perfetto.dev)
-//   {"cmd": "slowlog"}       -> the N slowest requests with span trees
+// Control objects (only those with no HTTP twin):
 //   {"cmd": "corpus_reload"} -> reopen --corpus (TGRAIDX2 or TGRSMAN1) and
 //                               atomically swap the engine to the new
 //                               generation; in-flight requests finish on the
 //                               generation they started with. Replies
 //                               {"ok":true,"generation":G,"format":...} or
-//                               {"ok":false,...} with the old corpus kept.
-//                               SIGHUP triggers the same reload out-of-band.
-//   {"cmd": "profile", "seconds": N}
-//                            -> block for N seconds (default 2) and reply
-//                               with a folded-stack CPU profile from the
-//                               always-on SIGPROF sampler (inline "body", or
-//                               {"file":"path"}); same data as
-//                               GET /pprof/profile on the admin plane
+//                               {"ok":false,...} with the old corpus kept,
+//                               after every earlier reply. SIGHUP triggers
+//                               the same reload out-of-band.
 //   {"cmd": "inject_stall", "ms": N}
 //                            -> watchdog drill: submit one probe request
 //                               whose worker sleeps N ms (default 2000)
@@ -42,11 +31,10 @@
 //                               data plane cannot reach this
 //   {"cmd": "quit"}          -> drain in-flight work and exit
 //
-// With --admin-port the same telemetry is served over HTTP (zPages:
-// /metrics /healthz /readyz /statusz /tracez /slowlogz /varz /timeseriesz
-// /alertz), so Prometheus scrapers, load balancers and browsers reach it
-// without the pipe. When the
-// admin plane starts, one NDJSON event line
+// Telemetry is served over HTTP with --admin-port (zPages: /metrics /healthz
+// /readyz /statusz /tracez /slowlogz /varz /timeseriesz /alertz
+// /pprof/profile), so Prometheus scrapers, load balancers and browsers reach
+// it without the pipe. When the admin plane starts, one NDJSON event line
 //   {"event":"admin_ready","port":N}
 // is emitted on stdout before any responses — with `--admin-port 0` (bind an
 // ephemeral port) this line is how drivers learn the actual port.
@@ -57,12 +45,16 @@
 // docs/SERVING.md). It announces itself the same way:
 //   {"event":"data_ready","port":N}
 //
-// Response objects (id echoed):
+// Response objects have the shape of a single POST /v1/extract reply (one
+// serializer, serve::ExtractionResponseToJson); "id" is echoed when the
+// request carried one:
 //   {"id":1,"ok":true,"columns":3,"rows":[[...],...],"sp":...,
-//    "cache_hit":false,"queue_ms":...,"extract_ms":...,"total_ms":...}
-//   {"id":2,"ok":false,"code":"Unavailable","error":"queue full ..."}
+//    "quality_level":0,"cache_hit":false,"queue_ms":...,"extract_ms":...,
+//    "total_ms":...}
+//   {"id":2,"ok":false,"code":"Unavailable","error":"queue full ...",
+//    "quality_level":0,"queue_ms":...,"total_ms":...}
 //
-// Malformed input (unparsable JSON, missing/empty "lines", unknown "cmd")
+// Malformed input (unparsable JSON, missing/empty "lines", any other "cmd")
 // is answered with a structured error object and counted in
 // `serve.bad_request` rather than silently dropped.
 //
@@ -71,6 +63,7 @@
 // structured logger, exit 0. Signals are consumed synchronously by a
 // dedicated thread (sigwait) — no async handler exists in the process.
 
+#include <fcntl.h>
 #include <poll.h>
 #include <pthread.h>
 #include <signal.h>
@@ -113,9 +106,7 @@
 #include "service/serve_json.h"
 #include "store/corpus_manager.h"
 #include "synth/corpus_gen.h"
-#include "trace/chrome_trace.h"
 #include "trace/log.h"
-#include "trace/prometheus.h"
 #include "trace/trace.h"
 
 namespace {
@@ -170,8 +161,8 @@ options:
   --log-format text|json  stderr log rendering (default text)
   --log-level LEVEL       debug|info|warn|error (default info)
   --profile-hz N          always-on SIGPROF sampling frequency (default 99;
-                          0 disables the CPU profiler — /pprof/profile and
-                          {"cmd":"profile"} then arm it per capture)
+                          0 disables the CPU profiler — /pprof/profile then
+                          arms it per capture)
   --access-log PATH       wide-event request log: one tail-sampled JSON line
                           per completed /v1/extract exchange ("stderr" logs
                           to stderr). Omit to disable (default)
@@ -227,7 +218,8 @@ options:
 
 struct ServeCliOptions {
   std::string corpus_path;
-  std::string build_spec;
+  /// Synthetic corpus recipe, used when --corpus is not given.
+  std::string build_spec = "web:5000:1";
   size_t co_cache_capacity = 1 << 20;
   bool trace_enabled = true;
   /// -1 = admin plane disabled; 0 = ephemeral port; >0 = fixed port.
@@ -461,32 +453,15 @@ bool ParseArgs(int argc, char** argv, ServeCliOptions* opts) {
 }
 
 tegra::Result<tegra::ColumnIndex> BuildSyntheticCorpus(
-    const ServeCliOptions& opts) {
-  const std::string spec =
-      opts.build_spec.empty() ? "web:5000:1" : opts.build_spec;
-  const auto parts = tegra::SplitExact(spec, ":");
-  if (parts.empty() || parts.size() > 3) {
-    return tegra::Status::InvalidArgument("bad --build-corpus spec: " + spec);
-  }
-  tegra::synth::CorpusProfile profile;
-  if (parts[0] == "web") {
-    profile = tegra::synth::CorpusProfile::kWeb;
-  } else if (parts[0] == "wiki") {
-    profile = tegra::synth::CorpusProfile::kWiki;
-  } else if (parts[0] == "enterprise") {
-    profile = tegra::synth::CorpusProfile::kEnterprise;
-  } else {
-    return tegra::Status::InvalidArgument("unknown profile: " + parts[0]);
-  }
-  const size_t tables =
-      parts.size() > 1 ? static_cast<size_t>(std::atoll(parts[1].c_str()))
-                       : 5000;
-  const uint64_t seed =
-      parts.size() > 2 ? static_cast<uint64_t>(std::atoll(parts[2].c_str()))
-                       : 1;
-  tegra::trace::LogInfo("building synthetic corpus",
-                        {{"profile", parts[0]}, {"tables", tables}});
-  return tegra::synth::BuildBackgroundIndex(profile, tables, seed);
+    const std::string& spec_text) {
+  auto spec = tegra::synth::ParseCorpusSpec(spec_text);
+  if (!spec.ok()) return spec.status();
+  tegra::trace::LogInfo(
+      "building synthetic corpus",
+      {{"profile", tegra::synth::CorpusProfileName(spec->profile)},
+       {"tables", spec->tables}});
+  return tegra::synth::BuildBackgroundIndex(spec->profile, spec->tables,
+                                            spec->seed);
 }
 
 /// Parses a --slo-config file: {"slos":[{...}, ...]}. Each entry mirrors
@@ -551,39 +526,6 @@ tegra::Result<std::vector<tegra::health::SloSpec>> LoadSloConfig(
   return specs;
 }
 
-JsonValue ResponseToJson(const JsonValue& id, const ExtractionResponse& resp) {
-  JsonValue out = JsonValue::Object();
-  out.Set("id", id);
-  if (!resp.ok()) {
-    out.Set("ok", JsonValue::Bool(false));
-    out.Set("code",
-            JsonValue::Str(tegra::StatusCodeToString(resp.status.code())));
-    out.Set("error", JsonValue::Str(resp.status.message()));
-    out.Set("queue_ms", JsonValue::Number(resp.queue_seconds * 1e3));
-    out.Set("total_ms", JsonValue::Number(resp.total_seconds * 1e3));
-    return out;
-  }
-  const tegra::ExtractionResult& result = *resp.result;
-  out.Set("ok", JsonValue::Bool(true));
-  out.Set("columns", JsonValue::Number(result.num_columns));
-  JsonValue rows = JsonValue::Array();
-  for (const auto& row : result.table.rows()) {
-    JsonValue cells = JsonValue::Array();
-    for (const auto& cell : row) cells.Append(JsonValue::Str(cell));
-    rows.Append(std::move(cells));
-  }
-  out.Set("rows", std::move(rows));
-  out.Set("sp", JsonValue::Number(result.sp));
-  out.Set("per_column_objective",
-          JsonValue::Number(result.per_column_objective));
-  out.Set("quality_level", JsonValue::Number(resp.quality_level));
-  out.Set("cache_hit", JsonValue::Bool(resp.cache_hit));
-  out.Set("queue_ms", JsonValue::Number(resp.queue_seconds * 1e3));
-  out.Set("extract_ms", JsonValue::Number(resp.extract_seconds * 1e3));
-  out.Set("total_ms", JsonValue::Number(resp.total_seconds * 1e3));
-  return out;
-}
-
 struct InFlight {
   JsonValue id;
   std::future<ExtractionResponse> future;
@@ -595,11 +537,20 @@ void Emit(const std::string& line) {
   std::fflush(stdout);
 }
 
+/// Writes the replies at the front of `inflight` in submission order: every
+/// one that is already complete, and, while more than `keep` remain, the
+/// oldest after waiting for it. Flush(inflight, 0) drains them all.
 void Flush(std::deque<InFlight>* inflight, size_t keep) {
-  while (inflight->size() > keep) {
-    InFlight front = std::move(inflight->front());
+  while (!inflight->empty()) {
+    InFlight& front = inflight->front();
+    if (inflight->size() <= keep &&
+        front.future.wait_for(std::chrono::seconds(0)) !=
+            std::future_status::ready) {
+      return;
+    }
+    Emit(tegra::serve::ExtractionResponseToJson(&front.id, front.future.get())
+             .Dump());
     inflight->pop_front();
-    Emit(ResponseToJson(front.id, front.future.get()).Dump());
   }
 }
 
@@ -614,43 +565,6 @@ void EmitBadRequest(const JsonValue& id, const std::string& message,
   err.Set("code", JsonValue::Str("InvalidArgument"));
   err.Set("error", JsonValue::Str(message));
   Emit(err.Dump());
-}
-
-/// Emits `body` inline ({"ok":true,"format":...,"body":...}) or, when the
-/// request carries a "file" key, writes it to disk and reports the path —
-/// multi-line payloads (Prometheus exposition, Chrome traces) stay NDJSON
-/// friendly either way. An unwritable "file" path is a malformed control
-/// command: it answers {"ok":false,"code":"IOError",...} and counts in
-/// `serve.bad_request` like every other rejected input.
-void EmitBody(const JsonValue& request, const char* format,
-              const std::string& body, tegra::Counter* bad_requests) {
-  JsonValue out = JsonValue::Object();
-  if (request.Has("id")) out.Set("id", request["id"]);
-  const std::string& path = request["file"].AsString();
-  if (!path.empty()) {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) {
-      if (bad_requests != nullptr) bad_requests->Increment();
-      tegra::trace::LogWarn("bad request", {{"error", "cannot open " + path}});
-      out.Set("ok", JsonValue::Bool(false));
-      out.Set("code", JsonValue::Str("IOError"));
-      out.Set("error", JsonValue::Str("cannot open " + path));
-      Emit(out.Dump());
-      return;
-    }
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
-    out.Set("ok", JsonValue::Bool(true));
-    out.Set("format", JsonValue::Str(format));
-    out.Set("file", JsonValue::Str(path));
-    out.Set("bytes", JsonValue::Number(static_cast<double>(body.size())));
-    Emit(out.Dump());
-    return;
-  }
-  out.Set("ok", JsonValue::Bool(true));
-  out.Set("format", JsonValue::Str(format));
-  out.Set("body", JsonValue::Str(body));
-  Emit(out.Dump());
 }
 
 // ---- signals: SIGHUP -> reload, SIGTERM/SIGINT -> drain (sigwait) ----------
@@ -697,14 +611,20 @@ int main(int argc, char** argv) {
   // one byte per shutdown signal. Created before any thread so it always
   // exists when the signal thread runs.
   int shutdown_pipe[2] = {-1, -1};
-  if (::pipe(shutdown_pipe) != 0) {
+  // The completion pipe: one byte per finished stdin request, written by
+  // whichever thread completes it, so the main loop wakes to write replies
+  // while stdin is idle. Non-blocking: a full pipe means a wakeup is
+  // already pending, and a rejection completes inline on the main thread.
+  int completion_pipe[2] = {-1, -1};
+  if (::pipe(shutdown_pipe) != 0 ||
+      ::pipe2(completion_pipe, O_NONBLOCK) != 0) {
     std::perror("pipe");
     return 1;
   }
 
   // One registry for the whole process: service accounting, corpus cache
   // counters and the tracer's per-phase histograms all land in it, so one
-  // `metrics`/`metrics_prom` snapshot shows the complete picture.
+  // /varz or /metrics scrape shows the complete picture.
   tegra::MetricsRegistry registry;
   tegra::trace::Tracer& tracer = tegra::trace::Tracer::Global();
   tracer.BindMetrics(&registry);
@@ -771,7 +691,7 @@ int main(int argc, char** argv) {
                            {"format", manager->CurrentFormat()},
                            {"generation", manager->Generation()}});
   } else {
-    auto built = BuildSyntheticCorpus(opts);
+    auto built = BuildSyntheticCorpus(opts.build_spec);
     if (!built.ok()) {
       tegra::trace::LogError("corpus build failed",
                              {{"status", built.status().ToString()}});
@@ -977,12 +897,9 @@ int main(int argc, char** argv) {
   // Optional HTTP admin plane. Declared after the service so it is stopped
   // (and destroyed) first; AdminPages only borrows the subsystems above.
   tegra::serve::AdminPagesOptions pages_options;
-  pages_options.corpus_description =
-      !opts.corpus_path.empty()
-          ? opts.corpus_path
-          : "synthetic " +
-                (opts.build_spec.empty() ? std::string("web:5000:1")
-                                         : opts.build_spec);
+  pages_options.corpus_description = !opts.corpus_path.empty()
+                                         ? opts.corpus_path
+                                         : "synthetic " + opts.build_spec;
   tegra::serve::AdminPages pages(&service, &tracer, manager.get(),
                                  pages_options);
   pages.set_health(&health);
@@ -1068,6 +985,8 @@ int main(int argc, char** argv) {
 
   // Keep at most pipeline_depth requests in flight so admission control is
   // exercised by fast producers while stdout stays in submission order.
+  // Replies are written as they complete (see the completion pipe above);
+  // only a producer that runs pipeline_depth ahead waits for the oldest.
   const size_t pipeline_depth = opts.service.max_queue_depth + 16;
   std::deque<InFlight> inflight;
 
@@ -1083,47 +1002,6 @@ int main(int argc, char** argv) {
     const JsonValue& request = *parsed;
     const std::string& cmd = request["cmd"].AsString();
     if (cmd == "quit") return false;
-    if (cmd == "metrics") {
-      Flush(&inflight, 0);
-      Emit(service.metrics()->Snapshot().ToJson());
-      return true;
-    }
-    if (cmd == "metrics_prom") {
-      Flush(&inflight, 0);
-      EmitBody(request, "prometheus",
-               tegra::trace::ToPrometheusText(service.metrics()->Snapshot()),
-               bad_requests);
-      return true;
-    }
-    if (cmd == "trace_dump") {
-      Flush(&inflight, 0);
-      EmitBody(request, "chrome_trace",
-               tegra::trace::ToChromeTraceJson(tracer.RingSnapshot()),
-               bad_requests);
-      return true;
-    }
-    if (cmd == "slowlog") {
-      Flush(&inflight, 0);
-      JsonValue out = SlowlogToJson(service.slowlog());
-      if (request.Has("id")) out.Set("id", request["id"]);
-      Emit(out.Dump());
-      return true;
-    }
-    if (cmd == "profile") {
-      // Blocks this (control) thread for the capture window; extraction
-      // workers and both HTTP planes keep running underneath it.
-      Flush(&inflight, 0);
-      double seconds = request["seconds"].AsNumber(2.0);
-      seconds = std::min(30.0, std::max(0.1, seconds));
-      auto profile = tegra::prof::CpuProfiler::Global().Capture(seconds);
-      if (!profile.ok()) {
-        EmitBadRequest(request["id"], profile.status().message(),
-                       bad_requests);
-        return true;
-      }
-      EmitBody(request, "folded", profile.value().ToFolded(), bad_requests);
-      return true;
-    }
     if (cmd == "inject_stall") {
       // Watchdog drill: one probe request whose worker sleeps mid-Process,
       // producing a genuine stall (busy heartbeat, capturable stack). The
@@ -1198,14 +1076,23 @@ int main(int argc, char** argv) {
     extraction.num_columns = static_cast<int>(request["columns"].AsNumber(0));
     extraction.deadline_seconds = request["deadline_ms"].AsNumber(0) / 1e3;
     extraction.bypass_cache = request["bypass_cache"].AsBool(false);
-    inflight.push_back(
-        InFlight{request["id"], service.Submit(std::move(extraction))});
+    auto promise = std::make_shared<std::promise<ExtractionResponse>>();
+    inflight.push_back(InFlight{request["id"], promise->get_future()});
+    const int completion_fd = completion_pipe[1];
+    service.SubmitWithCallback(
+        std::move(extraction),
+        [promise, completion_fd](ExtractionResponse response) {
+          promise->set_value(std::move(response));
+          const char byte = 1;
+          (void)!::write(completion_fd, &byte, 1);
+        });
     Flush(&inflight, pipeline_depth);
     return true;
   };
 
-  // The main loop polls stdin *and* the shutdown self-pipe, so a SIGTERM
-  // delivered while no input is arriving still starts the drain promptly.
+  // The main loop polls stdin, the shutdown self-pipe and the completion
+  // pipe, so a SIGTERM delivered while no input is arriving still starts the
+  // drain promptly and a finished request is answered without more input.
   // Input is read raw and split into lines here (std::getline would block
   // past the poll and miss the pipe).
   std::string input_buffer;
@@ -1232,20 +1119,22 @@ int main(int argc, char** argv) {
       }
       break;
     }
-    struct pollfd fds[2];
-    fds[0].fd = STDIN_FILENO;
-    fds[0].events = POLLIN;
-    fds[0].revents = 0;
-    fds[1].fd = shutdown_pipe[0];
-    fds[1].events = POLLIN;
-    fds[1].revents = 0;
-    if (::poll(fds, 2, -1) < 0) {
+    struct pollfd fds[3] = {{STDIN_FILENO, POLLIN, 0},
+                            {shutdown_pipe[0], POLLIN, 0},
+                            {completion_pipe[0], POLLIN, 0}};
+    if (::poll(fds, 3, -1) < 0) {
       if (errno == EINTR) continue;
       break;
     }
     if (fds[1].revents != 0) {
       signal_drain = true;
       break;
+    }
+    if (fds[2].revents != 0) {
+      char wakeups[256];
+      while (::read(completion_pipe[0], wakeups, sizeof(wakeups)) > 0) {
+      }
+      Flush(&inflight, pipeline_depth);
     }
     if (fds[0].revents != 0) {
       char chunk[4096];
@@ -1280,8 +1169,12 @@ int main(int argc, char** argv) {
   runtime_stats.Stop();
   tegra::prof::CpuProfiler::Global().Stop();
   access_log.Flush();
-  ::close(shutdown_pipe[0]);
-  ::close(shutdown_pipe[1]);
+  // Closed only after the workers have joined: a completion callback may
+  // still be writing its wakeup byte after its reply was emitted.
+  for (const int fd : {shutdown_pipe[0], shutdown_pipe[1], completion_pipe[0],
+                       completion_pipe[1]}) {
+    ::close(fd);
+  }
   tegra::trace::LogInfo("tegra_serve exiting",
                         {{"spans_recorded", tracer.spans_recorded()},
                          {"spans_dropped", tracer.dropped()},
