@@ -1,11 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // primitives: tokenization, type detection, postings intersection, NPMI,
-// cell distance, the SLGR dynamic program and the A* anchor search (vs the
-// exhaustive TEGRA-naive oracle).
+// cell distance, the SLGR dynamic program, the A* free-distance heuristic and
+// the A* anchor search (vs the exhaustive TEGRA-naive oracle).
 
 #include <benchmark/benchmark.h>
 
 #include "core/anchor_search.h"
+#include "core/free_distance.h"
 #include "core/list_context.h"
 #include "core/slgr.h"
 #include "corpus/column_index.h"
@@ -147,6 +148,29 @@ void BM_AnchorSearchAStar(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AnchorSearchAStar)->Arg(3)->Arg(5);
+
+/// The free-distance heuristic (Algorithm 4) for anchor 0 of a 20-line,
+/// 6-column list with a cold distance memo: every candidate cell of the
+/// anchor against every candidate cell of every other line, the access
+/// pattern that dominates A* extraction.
+void BM_AnchorHeuristic(benchmark::State& state) {
+  const ColumnIndex& index = SmallIndex();
+  CorpusStats stats(&index);
+  CellDistance distance(&stats);
+  constexpr int m = 6;
+  ListContext ctx = MakeContext(m, 20, &index);
+  std::vector<uint32_t> widths(ctx.num_lines());
+  for (size_t j = 0; j < ctx.num_lines(); ++j) {
+    widths[j] = ctx.EffectiveWidth(j, m, 8);
+    ctx.EnsureWidth(j, widths[j]);
+  }
+  for (auto _ : state) {
+    DistanceCache cache(&distance);
+    const AnchorHeuristic heuristic(ctx, 0, m, widths[0], widths, &cache);
+    benchmark::DoNotOptimize(heuristic.Get(0, 0));
+  }
+}
+BENCHMARK(BM_AnchorHeuristic);
 
 void BM_AnchorSearchExhaustive(benchmark::State& state) {
   const ColumnIndex& index = SmallIndex();

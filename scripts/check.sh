@@ -13,9 +13,13 @@
 #                       on tracing being compiled in
 #   3. tsan           — TEGRA_SANITIZE=thread; runs the `service`, `trace`,
 #                       `store`, `net`, `prof`, `qos` and `health` ctest
-#                       labels plus the metrics/stress tests, the suites
-#                       with real cross-thread traffic (store_test races
-#                       readers against corpus hot swaps; the net suite
+#                       labels plus the metrics/stress/property2/
+#                       active_batch tests, the suites with real
+#                       cross-thread traffic (property2_test and
+#                       active_batch_test run parallel anchor tasks that
+#                       share one ListContext and the CorpusStats memo;
+#                       store_test races readers against corpus hot
+#                       swaps; the net suite
 #                       runs the event loop against concurrent clients;
 #                       the prof suite fires SIGPROF into a live thread
 #                       pool; the qos suite hammers the controller and
@@ -84,12 +88,15 @@ if [[ "$ONLY" == "all" || "$ONLY" == "tsan" ]]; then
   # covers the degradation controller (health tick vs request threads)
   # and the tenant bucket map under concurrent admission checks; the
   # health label runs the watchdog against genuinely blocked worker
-  # threads and captures their stacks with a targeted SIGPROF.
+  # threads and captures their stacks with a targeted SIGPROF;
+  # property2_test and active_batch_test extract with num_threads > 1, so
+  # parallel anchor tasks read one ListContext and share the CorpusStats
+  # co-occurrence memo while each owns its DistanceCache.
   configure_and_build tsan -DTEGRA_SANITIZE=thread -DTEGRA_TRACE=ON
-  echo "=== [tsan] test (service/trace/store/net/prof/qos/health labels, metrics/stress) ==="
+  echo "=== [tsan] test (service/trace/store/net/prof/qos/health labels, metrics/stress/property2/active_batch) ==="
   (cd "$ROOT/build-check-tsan" &&
     run ctest --output-on-failure --timeout 600 -L 'service|trace|store|net|prof|qos|health' &&
-    run ctest --output-on-failure --timeout 600 -R 'metrics_test|stress_test')
+    run ctest --output-on-failure --timeout 600 -R 'metrics_test|stress_test|property2_test|active_batch_test')
   echo "=== [tsan] OK ==="
 fi
 

@@ -14,7 +14,6 @@ ListContext::ListContext(std::vector<std::vector<std::string>> token_lines,
   fixed_bounds_.resize(lines_.size());
   for (size_t j = 0; j < lines_.size(); ++j) {
     max_line_length_ = std::max(max_line_length_, line_length(j));
-    cell_ids_[j].resize(lines_[j].size());
   }
 }
 
@@ -23,15 +22,22 @@ void ListContext::EnsureWidth(size_t line, uint32_t width) {
   width = std::min(width, len);
   if (width <= registered_width_[line]) return;
 
+  const uint32_t old_width = registered_width_[line];
+  const std::vector<uint32_t>& old_ids = cell_ids_[line];
+  std::vector<uint32_t> ids(size_t{len} * width);
   for (uint32_t start = 0; start < len; ++start) {
-    auto& row = cell_ids_[line][start];
     const uint32_t max_w = std::min(width, len - start);
-    for (uint32_t w = static_cast<uint32_t>(row.size()) + 1; w <= max_w; ++w) {
-      std::string text = JoinRange(lines_[line], start, start + w, " ");
-      const CellInfo& cell = catalog_.Register(std::move(text), w);
-      row.push_back(cell.local_id);
+    for (uint32_t w = 1; w <= max_w; ++w) {
+      uint32_t& id = ids[size_t{start} * width + w - 1];
+      if (w <= old_width) {
+        id = old_ids[size_t{start} * old_width + w - 1];
+      } else {
+        std::string text = JoinRange(lines_[line], start, start + w, " ");
+        id = catalog_.Register(std::move(text), w).local_id;
+      }
     }
   }
+  cell_ids_[line] = std::move(ids);
   registered_width_[line] = width;
 }
 
@@ -42,15 +48,6 @@ uint32_t ListContext::EffectiveWidth(size_t line, int m,
   assert(m >= 1);
   const uint32_t needed = (len + m - 1) / static_cast<uint32_t>(m);
   return std::min(len, std::max(base_cap, needed));
-}
-
-const CellInfo& ListContext::Cell(size_t line, uint32_t start,
-                                  uint32_t len) const {
-  assert(len >= 1);
-  assert(start + len <= line_length(line));
-  const auto& row = cell_ids_[line][start];
-  assert(len <= row.size() && "EnsureWidth not called with sufficient width");
-  return catalog_.Get(row[len - 1]);
 }
 
 std::vector<const CellInfo*> ListContext::CellsFor(size_t line,

@@ -9,6 +9,8 @@
 #ifndef TEGRA_CORE_LIST_CONTEXT_H_
 #define TEGRA_CORE_LIST_CONTEXT_H_
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -48,7 +50,14 @@ class ListContext {
 
   /// \brief Interned cell for tokens [start, start+len) of `line`.
   /// Requires a prior EnsureWidth(line, >= len); len >= 1.
-  const CellInfo& Cell(size_t line, uint32_t start, uint32_t len) const;
+  const CellInfo& Cell(size_t line, uint32_t start, uint32_t len) const {
+    assert(len >= 1);
+    assert(start + len <= line_length(line));
+    assert(len <= registered_width_[line] &&
+           "EnsureWidth not called with sufficient width");
+    return catalog_.Get(
+        cell_ids_[line][size_t{start} * registered_width_[line] + len - 1]);
+  }
 
   /// The null cell.
   const CellInfo& NullCell() const { return catalog_.NullCell(); }
@@ -86,11 +95,12 @@ class ListContext {
   std::vector<std::vector<std::string>> lines_;
   uint32_t max_line_length_ = 0;
   CellCatalog catalog_;
-  // Per line: registered width and substring cell ids, indexed
-  // [start * (width cap) ...]; grown by EnsureWidth.
+  // Per line: the registered width W and the catalog ids of its substrings,
+  // flat with stride W: the substring [start, start + len) is at
+  // cell_ids_[line][start * W + len - 1] for len <= min(W, |line| - start).
+  // EnsureWidth re-lays a line out when it widens.
   std::vector<uint32_t> registered_width_;
-  // cell_ids_[line][start][len-1] -> catalog id.
-  std::vector<std::vector<std::vector<uint32_t>>> cell_ids_;
+  std::vector<std::vector<uint32_t>> cell_ids_;
   std::vector<std::optional<Bounds>> fixed_bounds_;
   size_t num_examples_ = 0;
 };

@@ -82,6 +82,8 @@ TegraExtractor::RunOutcome TegraExtractor::RunGivenColumns(
 
   const std::vector<size_t> anchors = SelectAnchors(*ctx, anchor_sample);
   std::vector<AnchorSearchResult> results(anchors.size());
+  // Distinct pairs each parallel task's own cache evaluated.
+  std::vector<size_t> task_pairs(anchors.size(), 0);
 
   auto run_anchor = [&](size_t idx, DistanceCache* cache) {
     const size_t anchor = anchors[idx];
@@ -112,6 +114,7 @@ TegraExtractor::RunOutcome TegraExtractor::RunGivenColumns(
         // are shared (and locked) inside CorpusStats.
         DistanceCache local_cache(&distance_);
         run_anchor(idx, &local_cache);
+        task_pairs[idx] = local_cache.size();
       });
     } else {
       for (size_t idx = 0; idx < anchors.size(); ++idx) {
@@ -125,6 +128,7 @@ TegraExtractor::RunOutcome TegraExtractor::RunGivenColumns(
   outcome.anchors_evaluated = anchors.size();
   for (size_t idx = 0; idx < anchors.size(); ++idx) {
     outcome.nodes_expanded += results[idx].nodes_expanded;
+    outcome.task_distance_pairs += task_pairs[idx];
     if (results[idx].anchor_distance < outcome.anchor_distance) {
       outcome.anchor_distance = results[idx].anchor_distance;
       outcome.anchor_line = anchors[idx];
@@ -154,6 +158,14 @@ Result<ExtractionResult> TegraExtractor::ExtractTokens(
   }
   if (num_columns < 0) {
     return Status::InvalidArgument("num_columns must be non-negative");
+  }
+  // The distance memo marks "not computed" with a negative value, so every
+  // distance must be >= 0 (and not NaN).
+  if (!(options_.distance.alpha >= 0 && options_.distance.alpha <= 1)) {
+    return Status::InvalidArgument("distance alpha must be in [0, 1]");
+  }
+  if (!(options_.distance.null_null_distance >= 0)) {
+    return Status::InvalidArgument("null_null_distance must be >= 0");
   }
 
   Stopwatch watch;
@@ -191,11 +203,13 @@ Result<ExtractionResult> TegraExtractor::ExtractTokens(
   DistanceCache cache(&distance_);
   ExtractionResult out;
   size_t anchors_evaluated = 0;
+  size_t task_distance_pairs = 0;
 
   if (num_columns > 0) {
     RunOutcome run = RunGivenColumns(&ctx, num_columns,
                                      options_.final_anchor_sample, &cache);
     anchors_evaluated += run.anchors_evaluated;
+    task_distance_pairs += run.task_distance_pairs;
     out.num_columns = num_columns;
     out.bounds = std::move(run.bounds);
     out.sp = run.sp;
@@ -215,6 +229,7 @@ Result<ExtractionResult> TegraExtractor::ExtractTokens(
           RunGivenColumns(&ctx, m, options_.sweep_anchor_sample, &cache);
       out.nodes_expanded += run.nodes_expanded;
       anchors_evaluated += run.anchors_evaluated;
+      task_distance_pairs += run.task_distance_pairs;
       const double score = PerColumnObjective(run.sp, m);
       if (score < best_score) {
         best_score = score;
@@ -229,6 +244,7 @@ Result<ExtractionResult> TegraExtractor::ExtractTokens(
                                  &cache);
       out.nodes_expanded += best_run.nodes_expanded;
       anchors_evaluated += best_run.anchors_evaluated;
+      task_distance_pairs += best_run.task_distance_pairs;
     }
     out.num_columns = best_m;
     out.bounds = std::move(best_run.bounds);
@@ -256,7 +272,7 @@ Result<ExtractionResult> TegraExtractor::ExtractTokens(
       metrics->GetCounter("extract.nodes_expanded_total")
           ->Increment(out.nodes_expanded);
       metrics->GetCounter("extract.distance_calls_total")
-          ->Increment(cache.size());
+          ->Increment(cache.size() + task_distance_pairs);
       metrics->GetCounter("extract.anchors_total")
           ->Increment(anchors_evaluated);
     }

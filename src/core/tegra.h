@@ -155,6 +155,9 @@ class TegraExtractor {
     size_t anchor_line = 0;
     size_t nodes_expanded = 0;
     size_t anchors_evaluated = 0;  ///< Candidate anchors actually searched.
+    /// Distinct cell pairs evaluated in per-task caches (parallel anchors);
+    /// the shared cache counts its own.
+    size_t task_distance_pairs = 0;
     std::vector<Bounds> bounds;
     double sp = 0;
   };

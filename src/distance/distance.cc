@@ -1,6 +1,7 @@
 #include "distance/distance.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace tegra {
 
@@ -86,6 +87,65 @@ double CellDistance::Distance(const CellInfo& a, const CellInfo& b) const {
   if (a.is_null() && b.is_null()) return options_.null_null_distance;
   return options_.alpha * SyntacticDistance(a, b) +
          (1.0 - options_.alpha) * SemanticDistance(a, b);
+}
+
+DistanceCache::Tile& DistanceCache::TileOf(uint32_t x, uint32_t y) {
+  const size_t ty = x >> kTileBits;
+  const size_t tx = y >> kTileBits;
+  if (ty >= rows_.size()) rows_.resize(ty + 1);
+  std::vector<Tile>& row = rows_[ty];
+  if (tx >= row.size()) row.resize(tx + 1);
+  return row[tx];
+}
+
+void DistanceCache::Store(Tile* tile, uint32_t offset, double d) {
+  if (tile->dense.empty()) {
+    if (tile->sparse.size() < kSparseMax) {
+      tile->sparse.push_back({static_cast<uint16_t>(offset), d});
+      return;
+    }
+    MakeDense(tile);
+  }
+  tile->dense[offset] = d;
+}
+
+void DistanceCache::MakeDense(Tile* tile) {
+  tile->dense.assign(static_cast<size_t>(kTile) * kTile, -1.0);
+  for (const Entry& e : tile->sparse) tile->dense[e.offset] = e.distance;
+  std::vector<Entry>().swap(tile->sparse);
+}
+
+double DistanceCache::Miss(const CellInfo& a, const CellInfo& b) {
+  const uint32_t x = a.local_id;
+  const uint32_t y = b.local_id;
+  Tile& tile = TileOf(x, y);
+  // A dense tile was already probed inline; only a list can still hold d.
+  for (const Entry& e : tile.sparse) {
+    if (e.offset == Offset(x, y)) {
+      const double d = e.distance;
+      if (++tile.list_hits == kTile * kTile) MakeDense(&tile);
+      return d;
+    }
+  }
+  const double d = distance_->Distance(a, b);
+  assert(d >= 0 && "a negative distance would read as not computed");
+  Store(&tile, Offset(x, y), d);
+  // TileOf may grow the grid, so `tile` is not used past this point.
+  if (x != y) Store(&TileOf(y, x), Offset(y, x), d);
+  ++size_;
+  return d;
+}
+
+size_t DistanceCache::memory_bytes() const {
+  size_t bytes = rows_.capacity() * sizeof(std::vector<Tile>);
+  for (const std::vector<Tile>& row : rows_) {
+    bytes += row.capacity() * sizeof(Tile);
+    for (const Tile& tile : row) {
+      bytes += tile.dense.capacity() * sizeof(double) +
+               tile.sparse.capacity() * sizeof(Entry);
+    }
+  }
+  return bytes;
 }
 
 }  // namespace tegra

@@ -11,11 +11,10 @@
 #ifndef TEGRA_DISTANCE_DISTANCE_H_
 #define TEGRA_DISTANCE_DISTANCE_H_
 
-#include <memory>
-#include <unordered_map>
-#include <utility>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
-#include "common/hash.h"
 #include "corpus/corpus_stats.h"
 #include "distance/cell.h"
 
@@ -77,30 +76,95 @@ class CellDistance {
 
 /// \brief Memoizes CellDistance over catalog-local id pairs.
 ///
-/// One extraction instance evaluates the same cell pairs many times across
-/// DP matrices, the A* heuristic and the objective; the cache turns repeat
-/// evaluations into one hash lookup. Not thread-safe: parallel anchor tasks
-/// each own a cache (or share a pre-warmed const one).
+/// One extraction evaluates the same cell pairs many times across DP
+/// matrices, the A* heuristic and the objective. Catalog-local ids are dense
+/// (0 is the null cell, the rest follow registration order), so the memo is
+/// an id x id matrix cut into kTile x kTile tiles, addressed by a grid of
+/// tile handles that grows with the largest id seen. A miss computes the
+/// distance once, in the caller's argument order, and stores it at both
+/// (a, b) and (b, a).
+///
+/// A tile starts as a list of at most kSparseMax (offset, distance) entries,
+/// searched linearly on a miss. It turns dense, kTile x kTile doubles
+/// (32 KiB) with a negative "not computed" sentinel where a repeat lookup in
+/// either order is a few array loads, when an entry would overflow the list
+/// or once the list has answered kTile * kTile lookups (the work of filling
+/// a dense tile). The heuristic and DP passes compare whole lines with whole
+/// lines, so their tiles turn dense within a few cells; the sum-of-pairs
+/// objective and the sampled qos passes scatter a handful of pairs over each
+/// tile, and those tiles stay lists. Dense tiles thus cost at most
+/// 2 * 32 KiB / kSparseMax (512 B) per evaluated pair or 8 B per lookup a
+/// list answered, list tiles 2 entries (32 B) per pair, and the grid a
+/// 56-byte handle per cell up to the largest tile column each touched tile
+/// row reaches: memory follows the pairs an extraction evaluates, not the
+/// square of the catalog size.
+///
+/// Requires CellDistance::Distance >= 0, which holds for alpha in [0, 1] and
+/// a non-negative null_null_distance. Copyable (a copy is an independent
+/// memo). Not thread-safe: parallel anchor tasks each own a cache.
 class DistanceCache {
  public:
+  static constexpr uint32_t kTileBits = 6;
+  static constexpr uint32_t kTile = 1u << kTileBits;
+  /// Entries a tile holds as a list before it turns dense.
+  static constexpr size_t kSparseMax = 128;
+
   explicit DistanceCache(const CellDistance* distance)
       : distance_(distance) {}
 
   double operator()(const CellInfo& a, const CellInfo& b) {
-    uint32_t x = a.local_id;
-    uint32_t y = b.local_id;
-    if (x > y) std::swap(x, y);
-    auto [it, inserted] = cache_.try_emplace({x, y}, 0.0);
-    if (inserted) it->second = distance_->Distance(a, b);
-    return it->second;
+    const uint32_t x = a.local_id;
+    const uint32_t y = b.local_id;
+    if ((x >> kTileBits) < rows_.size()) {
+      const std::vector<Tile>& row = rows_[x >> kTileBits];
+      if ((y >> kTileBits) < row.size()) {
+        const std::vector<double>& dense = row[y >> kTileBits].dense;
+        if (!dense.empty()) {
+          const double d = dense[Offset(x, y)];
+          if (d >= 0) return d;
+        }
+      }
+    }
+    return Miss(a, b);
   }
 
-  size_t size() const { return cache_.size(); }
+  /// Number of distinct unordered cell pairs evaluated so far.
+  size_t size() const { return size_; }
+  /// Bytes held by the tiles and the tile grid.
+  size_t memory_bytes() const;
   const CellDistance& base() const { return *distance_; }
 
  private:
+  struct Entry {
+    uint16_t offset;  // Offset(x, y) within the tile.
+    double distance;
+  };
+  struct Tile {
+    // kTile * kTile distances, row-major, once dense; empty before.
+    std::vector<double> dense;
+    // The tile's entries while it is a list; empty once dense.
+    std::vector<Entry> sparse;
+    // Lookups the list has answered.
+    uint32_t list_hits = 0;
+  };
+
+  static uint32_t Offset(uint32_t x, uint32_t y) {
+    return ((x & (kTile - 1)) << kTileBits) | (y & (kTile - 1));
+  }
+  /// The tile of (x, y), growing the grid to reach it.
+  Tile& TileOf(uint32_t x, uint32_t y);
+  /// Records d at `offset`, turning the tile dense when its list is full.
+  static void Store(Tile* tile, uint32_t offset, double d);
+  /// Moves a list tile's entries into a dense tile.
+  static void MakeDense(Tile* tile);
+  /// Slow path: searches a list tile, else computes d(a, b) and stores it
+  /// at (a, b) and (b, a).
+  double Miss(const CellInfo& a, const CellInfo& b);
+
   const CellDistance* distance_;  // Not owned.
-  std::unordered_map<std::pair<uint32_t, uint32_t>, double, PairHash> cache_;
+  // rows_[x / kTile][y / kTile] holds the tile of ids (x, y).
+  std::vector<std::vector<Tile>> rows_;
+  size_t size_ = 0;
 };
 
 }  // namespace tegra

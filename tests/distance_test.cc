@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -234,6 +237,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DistancePropertyTest,
 
 // ---- DistanceCache ---------------------------------------------------------
 
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+/// Registers distinct cells until `catalog` holds ids 0..max_id.
+void FillCatalog(CellCatalog* catalog, uint32_t max_id) {
+  while (catalog->size() <= max_id) {
+    std::string text = std::to_string(catalog->size());
+    text.insert(text.begin(), 'v');
+    catalog->Register(std::move(text), 1);
+  }
+}
+
 TEST_F(DistanceTest, CacheReturnsSameValues) {
   DistanceCache cache(&distance_);
   const CellInfo& a = Cell("London");
@@ -244,6 +262,153 @@ TEST_F(DistanceTest, CacheReturnsSameValues) {
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_DOUBLE_EQ(cache(a, b), direct);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST_F(DistanceTest, CacheSizeCountsUnorderedPairsOnce) {
+  DistanceCache cache(&distance_);
+  const CellInfo& a = Cell("London");
+  const CellInfo& b = Cell("Paris");
+  cache(a, b);
+  cache(b, a);
+  EXPECT_EQ(cache.size(), 1u);
+  cache(a, a);
+  EXPECT_EQ(cache.size(), 2u);
+  cache(b, catalog_.NullCell());
+  cache(catalog_.NullCell(), b);
+  EXPECT_EQ(cache.size(), 3u);
+}
+
+TEST_F(DistanceTest, CacheValuesSurviveTileAndGridGrowth) {
+  // Ids on both sides of a tile edge (63 | 64) and far past the first grid
+  // (4097): values read back after the grid grows must be the ones stored.
+  static_assert(DistanceCache::kTile == 64, "ids below straddle 64 tiles");
+  FillCatalog(&catalog_, 4097);
+  const uint32_t ids[] = {0, 63, 64, 4097};
+  DistanceCache cache(&distance_);
+  std::vector<uint64_t> first;
+  for (uint32_t x : ids) {
+    for (uint32_t y : ids) {
+      first.push_back(Bits(cache(catalog_.Get(x), catalog_.Get(y))));
+    }
+  }
+  const size_t pairs = cache.size();
+  EXPECT_EQ(pairs, 10u);  // 4 * 5 / 2 unordered pairs.
+  // Grow the grid in both directions and touch neighbouring tiles.
+  FillCatalog(&catalog_, 9000);
+  cache(catalog_.Get(9000), catalog_.Get(1));
+  cache(catalog_.Get(65), catalog_.Get(8999));
+  size_t k = 0;
+  for (uint32_t x : ids) {
+    for (uint32_t y : ids) {
+      EXPECT_EQ(Bits(cache(catalog_.Get(x), catalog_.Get(y))), first[k++])
+          << x << "," << y;
+    }
+  }
+  EXPECT_EQ(cache.size(), pairs + 2);
+}
+
+TEST_F(DistanceTest, CacheValuesSurviveListToDenseSwitch) {
+  // A tile turns from a list into a dense array when its list overflows or
+  // after it has answered kTile^2 lookups; values and the pair count must
+  // not change across either switch.
+  FillCatalog(&catalog_, 200);
+  constexpr size_t kDenseTile = sizeof(double) * DistanceCache::kTile *
+                                DistanceCache::kTile;
+  // Hits: three pairs in tile (0, 1), read until the list gives way.
+  DistanceCache hits(&distance_);
+  const uint64_t first = Bits(hits(catalog_.Get(1), catalog_.Get(64)));
+  hits(catalog_.Get(2), catalog_.Get(65));
+  hits(catalog_.Get(3), catalog_.Get(66));
+  EXPECT_LT(hits.memory_bytes(), kDenseTile);
+  for (uint32_t i = 0; i < DistanceCache::kTile * DistanceCache::kTile; ++i) {
+    ASSERT_EQ(Bits(hits(catalog_.Get(1), catalog_.Get(64))), first);
+  }
+  EXPECT_GE(hits.memory_bytes(), kDenseTile);
+  EXPECT_EQ(Bits(hits(catalog_.Get(64), catalog_.Get(1))), first);
+  EXPECT_EQ(hits.size(), 3u);
+  // Overflow: every pair of ids 1..20 fills tile (0, 0) past its list.
+  DistanceCache overflow(&distance_);
+  std::vector<uint64_t> stored;
+  for (uint32_t x = 1; x <= 20; ++x) {
+    for (uint32_t y = 1; y <= 20; ++y) {
+      stored.push_back(Bits(overflow(catalog_.Get(x), catalog_.Get(y))));
+    }
+  }
+  EXPECT_GE(overflow.memory_bytes(), kDenseTile);
+  EXPECT_EQ(overflow.size(), 20u * 21 / 2);
+  size_t k = 0;
+  for (uint32_t x = 1; x <= 20; ++x) {
+    for (uint32_t y = 1; y <= 20; ++y) {
+      EXPECT_EQ(Bits(overflow(catalog_.Get(x), catalog_.Get(y))), stored[k++]);
+    }
+  }
+}
+
+TEST_F(DistanceTest, CopiedCacheIsIndependent) {
+  const CellInfo& a = Cell("London");
+  const CellInfo& b = Cell("Paris");
+  const CellInfo& c = Cell("Tokyo");
+  DistanceCache source(&distance_);
+  const double ab = source(a, b);
+  DistanceCache copy = source;
+  EXPECT_EQ(copy.size(), 1u);
+  EXPECT_EQ(Bits(copy(b, a)), Bits(ab));
+  copy(a, c);
+  EXPECT_EQ(copy.size(), 2u);
+  EXPECT_EQ(source.size(), 1u);
+  source(b, c);
+  source(c, c);
+  EXPECT_EQ(source.size(), 3u);
+  EXPECT_EQ(copy.size(), 2u);
+  EXPECT_EQ(Bits(source(a, b)), Bits(ab));
+}
+
+TEST(DistanceCacheTest, EveryPairMatchesDistanceBitForBit) {
+  ColumnIndex index = synth::BuildBackgroundIndex(
+      synth::CorpusProfile::kWeb, /*num_tables=*/400, /*seed=*/50);
+  CorpusStats stats(&index);
+  CellDistance distance(&stats);
+  CellCatalog catalog(&index);
+  synth::TableGenerator gen(synth::CorpusProfile::kWeb, /*seed=*/77);
+  while (catalog.size() < 200) {
+    Table t = gen.Generate();
+    for (size_t r = 0; r < t.NumRows() && catalog.size() < 200; ++r) {
+      for (size_t col = 0; col < t.NumCols() && catalog.size() < 200; ++col) {
+        const std::string& cell = t.Cell(r, col);
+        if (cell.empty()) continue;
+        catalog.Register(cell, 1 + std::count(cell.begin(), cell.end(), ' '));
+      }
+    }
+  }
+  // A miss evaluates in the caller's argument order and serves the stored
+  // value for the reversed order.
+  DistanceCache cache(&distance);
+  const uint32_t n = static_cast<uint32_t>(catalog.size());
+  for (uint32_t x = 0; x < n; ++x) {
+    for (uint32_t y = x; y < n; ++y) {
+      const CellInfo& a = catalog.Get(x);
+      const CellInfo& b = catalog.Get(y);
+      const uint64_t direct = Bits(distance.Distance(a, b));
+      ASSERT_EQ(Bits(cache(a, b)), direct) << x << "," << y;
+      ASSERT_EQ(Bits(cache(b, a)), direct) << y << "," << x;
+    }
+  }
+  EXPECT_EQ(cache.size(), size_t{n} * (n + 1) / 2);
+}
+
+TEST(DistanceCacheTest, SparseTouchMemoryFollowsTouchedTiles) {
+  // One cell against 20,000 others: a dense 20,001^2 matrix of doubles would
+  // take 3.2 GB; here every touched tile holds only 64 entries and stays a
+  // list, so the memo costs a few dozen bytes per pair.
+  CellCatalog catalog(nullptr);
+  FillCatalog(&catalog, 20000);
+  CellDistance distance(nullptr);
+  DistanceCache cache(&distance);
+  for (uint32_t id = 1; id <= 20000; ++id) {
+    cache(catalog.NullCell(), catalog.Get(id));
+  }
+  EXPECT_EQ(cache.size(), 20000u);
+  EXPECT_LT(cache.memory_bytes(), 64 * cache.size()) << cache.memory_bytes();
 }
 
 }  // namespace

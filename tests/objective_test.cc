@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "corpus/column_index.h"
@@ -39,6 +41,28 @@ TEST(RecordDistanceTest, SumsColumnDistances) {
   auto b = ctx.CellsFor(1, {0, 1, 2});
   const double expected = cache(*a[0], *b[0]) + cache(*a[1], *b[1]);
   EXPECT_NEAR(RecordDistance(a, b, &cache), expected, 1e-12);
+}
+
+TEST(SumOfPairsTest, MemoMemoryFollowsScatteredPairs) {
+  // Exact SP pairs one cell of every line with one cell of every other line,
+  // so each pair lands in its own region of the id x id memo. 300 lines of
+  // 12 distinct tokens register 23,400 cells; memory must follow the ~270k
+  // pairs scored (a hashed memo costs ~60 B a pair), not the tiles they hit.
+  constexpr size_t kLines = 300;
+  std::vector<std::vector<std::string>> lines(kLines);
+  for (size_t i = 0; i < kLines; ++i) {
+    for (int t = 0; t < 12; ++t) {
+      lines[i].push_back("w" + std::to_string(i) + "t" + std::to_string(t));
+    }
+  }
+  ListContext ctx(std::move(lines), nullptr);
+  PrepareAll(&ctx, 6);
+  const std::vector<Bounds> table(kLines, Bounds{0, 2, 4, 6, 8, 10, 12});
+  CellDistance distance(nullptr);
+  DistanceCache cache(&distance);
+  SumOfPairsDistance(ctx, table, &cache);
+  EXPECT_EQ(cache.size(), kLines * (kLines - 1) / 2 * 6);
+  EXPECT_LT(cache.memory_bytes(), 96 * cache.size()) << cache.memory_bytes();
 }
 
 TEST(SumOfPairsTest, EquationSevenDecomposition) {

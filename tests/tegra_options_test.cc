@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/tegra.h"
 #include "distance/distance.h"
 #include "synth/corpus_gen.h"
 #include "corpus/column_index.h"
+#include "service/metrics.h"
+#include "trace/trace.h"
 
 namespace tegra {
 namespace {
@@ -135,6 +139,58 @@ TEST_F(OptionsTest, WidthCapRelaxationKeepsLongLinesFeasible) {
       {"a b c d e f g h i j k l", "m n o p q r s t u v w x"}, 3);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->table.NumCols(), 3u);
+}
+
+/// extract.distance_calls_total delta of one ExtractWithColumns call.
+uint64_t DistanceCallsOf(const CorpusStats* stats, int num_threads,
+                         const std::vector<std::string>& lines) {
+  MetricsRegistry registry;
+  trace::Tracer& tracer = trace::Tracer::Global();
+  tracer.BindMetrics(&registry);
+  tracer.SetEnabled(true);
+  TegraOptions opts;
+  opts.num_threads = num_threads;
+  TegraExtractor tegra(stats, opts);
+  auto result = tegra.ExtractWithColumns(lines, 3);
+  tracer.SetEnabled(false);
+  tracer.BindMetrics(nullptr);
+  EXPECT_TRUE(result.ok());
+  const MetricsSnapshot snap = registry.Snapshot();
+  const auto it = snap.counters.find("extract.distance_calls_total");
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+TEST_F(OptionsTest, DistanceCallsCountParallelAnchorTasks) {
+  // Parallel anchor tasks each own a memo; their pairs must reach the
+  // counter too, so spreading the anchors over threads never lowers it.
+  const uint64_t one = DistanceCallsOf(stats_, 1, lines_);
+  const uint64_t four = DistanceCallsOf(stats_, 4, lines_);
+  if (trace::kCompiledIn) {
+    EXPECT_GT(one, 0u);
+  }
+  EXPECT_GE(four, one);
+}
+
+TEST_F(OptionsTest, DistanceOptionsThatCouldGoNegativeAreRejected) {
+  // The distance memo needs d >= 0; alpha outside [0, 1], a NaN alpha or a
+  // negative null-null price could break that, so extraction refuses them.
+  const double bad_alpha[] = {-0.1, 1.5, std::nan("")};
+  for (double alpha : bad_alpha) {
+    TegraOptions opts;
+    opts.distance.alpha = alpha;
+    TegraExtractor tegra(stats_, opts);
+    EXPECT_EQ(tegra.Extract(lines_).status().code(),
+              StatusCode::kInvalidArgument)
+        << alpha;
+  }
+  TegraOptions opts;
+  opts.distance.null_null_distance = -1;
+  TegraExtractor tegra(stats_, opts);
+  EXPECT_EQ(tegra.ExtractWithColumns(lines_, 2).status().code(),
+            StatusCode::kInvalidArgument);
+  opts.distance.null_null_distance = 0;
+  opts.distance.alpha = 1;
+  EXPECT_TRUE(TegraExtractor(stats_, opts).Extract(lines_).ok());
 }
 
 // ---- distance ablation knobs ---------------------------------------------

@@ -96,6 +96,11 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
     } else if (arg == "--alpha") {
       if (!(v = need_value(i))) return false;
       opts->tegra.distance.alpha = std::atof(v);
+      if (!(opts->tegra.distance.alpha >= 0 &&
+            opts->tegra.distance.alpha <= 1)) {
+        std::fprintf(stderr, "--alpha must be in [0,1]\n");
+        return false;
+      }
     } else if (arg == "--delimiters") {
       if (!(v = need_value(i))) return false;
       opts->tegra.tokenizer.punctuation_delimiters = v;

@@ -64,6 +64,10 @@ int main(int argc, char** argv) {
       examples = std::atoi(next());
     } else if (arg == "--alpha") {
       alpha = std::atof(next());
+      if (!(alpha >= 0 && alpha <= 1)) {
+        std::fprintf(stderr, "--alpha must be in [0,1]\n");
+        return 2;
+      }
     } else if (arg == "--threads") {
       threads = std::atoi(next());
     } else if (arg == "--verbose") {

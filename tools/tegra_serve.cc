@@ -292,6 +292,11 @@ bool ParseArgs(int argc, char** argv, ServeCliOptions* opts) {
     } else if (arg == "--alpha") {
       if (!(v = need_value(i))) return false;
       opts->tegra.distance.alpha = std::atof(v);
+      if (!(opts->tegra.distance.alpha >= 0 &&
+            opts->tegra.distance.alpha <= 1)) {
+        std::fprintf(stderr, "--alpha must be in [0,1]\n");
+        return false;
+      }
     } else if (arg == "--threads") {
       if (!(v = need_value(i))) return false;
       opts->tegra.num_threads = std::atoi(v);
