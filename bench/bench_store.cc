@@ -7,15 +7,21 @@
 //                       only)
 //   * memory            process RSS delta of the build vs the open, plus the
 //                       views' own HeapBytes / MappedBytes accounting
-//   * query throughput  Lookup and CoOccurrenceCount over identical pair
-//                       workloads, with a cross-checked hit total so the two
-//                       representations provably answered the same queries
+//   * query throughput  Lookup, and CoOccurrenceCount timed separately for
+//                       hub ∩ hub, hub ∩ rare and rare ∩ rare pairs (a hub
+//                       has |C(s)| >= ceil(N / 128), the snapshot's bitmap
+//                       tier), over identical pair workloads, with a
+//                       cross-checked hit total so the two representations
+//                       provably answered the same queries. The snapshot's
+//                       first pass, which builds the hub bitmaps it
+//                       touches, is reported on its own line.
 //
 // Usage: bench_store [tables ...]   (default scales: 5000 28000)
 //
 // The 28k-table scale is the acceptance gate: MmapCorpus::Open must come in
 // under 50 ms (it is usually under 1 ms — no payload is read at open).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -57,33 +63,56 @@ size_t RssKib() {
   return kib;
 }
 
+/// The pair classes the snapshot's intersection kernel distinguishes.
+enum PairClass { kHubHub, kHubRare, kRareRare, kNumClasses };
+const char* const kClassNames[kNumClasses] = {"hub & hub", "hub & rare",
+                                              "rare & rare"};
+
+using PairList = std::vector<std::pair<tegra::ValueId, tegra::ValueId>>;
+
 struct PairWorkload {
-  std::vector<std::pair<tegra::ValueId, tegra::ValueId>> pairs;
+  PairList pairs[kNumClasses];
 };
 
-/// Same logical workload for both views: pair up popular values (long,
-/// block-compressed postings) and random ones, translated per-view through
-/// the value strings so relabeled snapshot ids do not change the queries.
+/// Same logical workload for both views: hub values (long, block-compressed
+/// postings) and rare ones paired within and across the two groups,
+/// translated per-view through the value strings so relabeled snapshot ids
+/// do not change the queries.
 PairWorkload BuildWorkload(const tegra::CorpusView& view,
-                           const std::vector<std::string>& popular,
-                           const std::vector<std::string>& random_values) {
+                           const std::vector<std::string>& hubs,
+                           const std::vector<std::string>& rare) {
   PairWorkload out;
-  std::vector<tegra::ValueId> ids;
-  for (const auto& value : popular) ids.push_back(view.Lookup(value));
-  for (const auto& value : random_values) ids.push_back(view.Lookup(value));
-  for (size_t i = 0; i < ids.size(); ++i) {
-    for (size_t j = i + 1; j < ids.size(); j += 5) {
-      out.pairs.emplace_back(ids[i], ids[j]);
+  std::vector<tegra::ValueId> hub_ids, rare_ids;
+  for (const auto& value : hubs) hub_ids.push_back(view.Lookup(value));
+  for (const auto& value : rare) rare_ids.push_back(view.Lookup(value));
+  for (size_t i = 0; i < hub_ids.size(); ++i) {
+    for (size_t j = i + 1; j < hub_ids.size(); ++j) {
+      out.pairs[kHubHub].emplace_back(hub_ids[i], hub_ids[j]);
+    }
+    for (size_t j = i % 3; j < rare_ids.size(); j += 3) {
+      out.pairs[kHubRare].emplace_back(hub_ids[i], rare_ids[j]);
+    }
+  }
+  for (size_t i = 0; i < rare_ids.size(); ++i) {
+    for (size_t j = i + 1; j < rare_ids.size(); j += 2) {
+      out.pairs[kRareRare].emplace_back(rare_ids[i], rare_ids[j]);
     }
   }
   return out;
 }
 
 struct QueryResult {
-  double co_ms = 0;
+  double first_pass_ms = 0;  ///< One pass over every class, cold.
+  double co_ms[kNumClasses] = {};
   double lookup_ms = 0;
   uint64_t hit_total = 0;  ///< Cross-representation checksum.
 };
+
+uint64_t CountPairs(const tegra::CorpusView& view, const PairList& pairs) {
+  uint64_t hits = 0;
+  for (const auto& [a, b] : pairs) hits += view.CoOccurrenceCount(a, b);
+  return hits;
+}
 
 QueryResult RunQueries(const tegra::CorpusView& view,
                        const PairWorkload& workload,
@@ -91,12 +120,24 @@ QueryResult RunQueries(const tegra::CorpusView& view,
                        int rounds) {
   QueryResult result;
   Clock::time_point start = Clock::now();
-  for (int round = 0; round < rounds; ++round) {
-    for (const auto& [a, b] : workload.pairs) {
-      result.hit_total += view.CoOccurrenceCount(a, b);
-    }
+  uint64_t cold_hits = 0;
+  for (const PairList& pairs : workload.pairs) {
+    cold_hits += CountPairs(view, pairs);
   }
-  result.co_ms = MsSince(start);
+  result.first_pass_ms = MsSince(start);
+
+  for (int c = 0; c < kNumClasses; ++c) {
+    start = Clock::now();
+    for (int round = 0; round < rounds; ++round) {
+      result.hit_total += CountPairs(view, workload.pairs[c]);
+    }
+    result.co_ms[c] = MsSince(start);
+  }
+  if (cold_hits * rounds != result.hit_total) {
+    std::fprintf(stderr, "FATAL: %s answered differently across passes\n",
+                 view.FormatName());
+    std::abort();
+  }
 
   start = Clock::now();
   uint64_t found = 0;
@@ -149,38 +190,40 @@ void BenchScale(size_t tables) {
               (*mapped)->HeapBytes(),
               static_cast<double>((*mapped)->MappedBytes()) / (1 << 20));
 
-  // Query throughput over an identical pair workload.
+  // Query throughput over an identical pair workload: the 24 most frequent
+  // values that are hubs by the snapshot's rule, and 40 random non-hubs.
+  const uint64_t hub_threshold = (heap.TotalColumns() + 127) / 128;
   std::vector<tegra::ValueId> by_count(heap.NumValues());
   for (size_t i = 0; i < by_count.size(); ++i) {
     by_count[i] = static_cast<tegra::ValueId>(i);
   }
-  std::partial_sort(by_count.begin(),
-                    by_count.begin() + std::min<size_t>(24, by_count.size()),
-                    by_count.end(),
-                    [&](tegra::ValueId a, tegra::ValueId b) {
-                      return heap.ColumnCount(a) > heap.ColumnCount(b);
-                    });
-  std::vector<std::string> popular;
-  for (size_t i = 0; i < std::min<size_t>(24, by_count.size()); ++i) {
-    popular.push_back(heap.ValueString(by_count[i]));
+  std::sort(by_count.begin(), by_count.end(),
+            [&](tegra::ValueId a, tegra::ValueId b) {
+              return heap.ColumnCount(a) > heap.ColumnCount(b);
+            });
+  std::vector<std::string> hubs;
+  for (size_t i = 0; i < std::min<size_t>(24, by_count.size()) &&
+                     heap.ColumnCount(by_count[i]) >= hub_threshold;
+       ++i) {
+    hubs.push_back(heap.ValueString(by_count[i]));
   }
   std::mt19937 rng(7);
   std::uniform_int_distribution<size_t> pick(0, heap.NumValues() - 1);
-  std::vector<std::string> random_values;
-  for (int i = 0; i < 40; ++i) {
-    random_values.push_back(
-        heap.ValueString(static_cast<tegra::ValueId>(pick(rng))));
+  std::vector<std::string> rare_values;
+  while (rare_values.size() < 40) {
+    const auto id = static_cast<tegra::ValueId>(pick(rng));
+    if (heap.ColumnCount(id) < hub_threshold) {
+      rare_values.push_back(heap.ValueString(id));
+    }
   }
 
-  const PairWorkload heap_work =
-      BuildWorkload(heap, popular, random_values);
-  const PairWorkload mmap_work =
-      BuildWorkload(**mapped, popular, random_values);
+  const PairWorkload heap_work = BuildWorkload(heap, hubs, rare_values);
+  const PairWorkload mmap_work = BuildWorkload(**mapped, hubs, rare_values);
   const int rounds = 200;
   const QueryResult heap_result =
-      RunQueries(heap, heap_work, random_values, rounds);
+      RunQueries(heap, heap_work, rare_values, rounds);
   const QueryResult mmap_result =
-      RunQueries(**mapped, mmap_work, random_values, rounds);
+      RunQueries(**mapped, mmap_work, rare_values, rounds);
   if (heap_result.hit_total != mmap_result.hit_total) {
     std::fprintf(stderr,
                  "FATAL: representations disagree (heap=%llu mmap=%llu)\n",
@@ -188,15 +231,27 @@ void BenchScale(size_t tables) {
                  static_cast<unsigned long long>(mmap_result.hit_total));
     std::abort();
   }
-  const double ops = static_cast<double>(heap_work.pairs.size()) * rounds;
-  std::printf("intersections    heap %7.2f Mops/s   mmap %7.2f Mops/s"
-              "   (hit checksum %llu)\n",
-              ops / heap_result.co_ms / 1e3, ops / mmap_result.co_ms / 1e3,
+  std::printf("hub threshold    %llu postings (%zu hubs sampled)\n",
+              static_cast<unsigned long long>(hub_threshold), hubs.size());
+  std::printf("first pass       heap %8.2f ms   mmap %8.2f ms"
+              "   (mmap builds the sampled hub bitmaps)\n",
+              heap_result.first_pass_ms, mmap_result.first_pass_ms);
+  for (int c = 0; c < kNumClasses; ++c) {
+    const double ops =
+        static_cast<double>(heap_work.pairs[c].size()) * rounds;
+    std::printf("%-16s heap %8.3f Mops/s   mmap %8.3f Mops/s"
+                "   (%zu pairs)\n",
+                kClassNames[c], ops / heap_result.co_ms[c] / 1e3,
+                ops / mmap_result.co_ms[c] / 1e3, heap_work.pairs[c].size());
+  }
+  std::printf("hit checksum     %llu\n",
               static_cast<unsigned long long>(heap_result.hit_total));
-  const double lookups = static_cast<double>(random_values.size()) * rounds;
+  const double lookups = static_cast<double>(rare_values.size()) * rounds;
   std::printf("lookups          heap %7.2f Mops/s   mmap %7.2f Mops/s\n",
               lookups / heap_result.lookup_ms / 1e3,
               lookups / mmap_result.lookup_ms / 1e3);
+  std::printf("view accounting  mmap heap after queries %zu B\n",
+              (*mapped)->HeapBytes());
 
   if (tables >= 28000) {
     std::printf("acceptance       mmap open %.3f ms %s 50 ms budget\n",

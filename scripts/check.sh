@@ -19,7 +19,8 @@
 #                       active_batch_test run parallel anchor tasks that
 #                       share one ListContext and the CorpusStats memo;
 #                       store_test races readers against corpus hot
-#                       swaps; the net suite
+#                       swaps; hub_tier_test races first touches of the
+#                       shared hub bitmaps; the net suite
 #                       runs the event loop against concurrent clients;
 #                       the prof suite fires SIGPROF into a live thread
 #                       pool; the qos suite hammers the controller and

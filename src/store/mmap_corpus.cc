@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/varint.h"
@@ -23,7 +24,22 @@ Status Corrupt(const std::string& path, const char* what) {
   return Status::Corruption(std::string(what) + " in: " + path);
 }
 
+/// A value is a hub when |C(s)| >= ceil(N / kHubDivisor): its N-bit bitmap
+/// then costs at most 16 bytes per posting.
+constexpr uint64_t kHubDivisor = 128;
+
 }  // namespace
+
+/// Hub directory: every hub's id, ascending, and one bitmap slot per hub
+/// (null until that hub's first intersection).
+struct MmapCorpus::HubTier {
+  std::vector<uint32_t> ids;
+  std::unique_ptr<std::atomic<uint64_t*>[]> bits;
+
+  ~HubTier() {
+    for (size_t i = 0; i < ids.size(); ++i) delete[] bits[i].load();
+  }
+};
 
 Result<std::unique_ptr<MmapCorpus>> MmapCorpus::Open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -85,6 +101,12 @@ Result<std::unique_ptr<MmapCorpus>> MmapCorpus::Open(const std::string& path) {
   if (h.total_columns > 0xffffffffULL || h.num_values > 0xffffffffULL) {
     return Corrupt(path, "implausible corpus cardinality");
   }
+  corpus->hub_threshold_ =
+      h.total_columns == 0
+          ? UINT32_MAX
+          : static_cast<uint32_t>((h.total_columns + kHubDivisor - 1) /
+                                  kHubDivisor);
+  corpus->hub_words_ = static_cast<uint32_t>((h.total_columns + 63) / 64);
 
   // Header CRC covers header[0:60) + the section table: any flipped bit in
   // either is caught before offsets are trusted.
@@ -176,6 +198,7 @@ Result<std::unique_ptr<MmapCorpus>> MmapCorpus::Open(const std::string& path) {
 }
 
 MmapCorpus::~MmapCorpus() {
+  delete hubs_.load();
   if (data_ != nullptr) {
     ::munmap(const_cast<char*>(data_), map_size_);
   }
@@ -254,12 +277,86 @@ uint32_t MmapCorpus::ColumnCount(ValueId id) const {
 uint32_t MmapCorpus::CoOccurrenceCount(ValueId a, ValueId b) const {
   if (a >= header_.num_values || b >= header_.num_values) return 0;
   if (a == b) return ColumnCount(a);
-  return IntersectPostings(Postings(a), Postings(b));
+  return IntersectPostings(IntersectOperand(a), IntersectOperand(b));
 }
 
 PostingListRef MmapCorpus::Postings(ValueId id) const {
   if (id >= header_.num_values) return PostingListRef{};
   return PostingListRef{PostingBytes(id), ColumnCount(id)};
+}
+
+PostingListRef MmapCorpus::IntersectOperand(ValueId id) const {
+  PostingListRef ref = Postings(id);
+  if (ref.count >= hub_threshold_) {
+    ref.bits = HubBits(id, ref);
+    if (ref.bits != nullptr) ref.bit_words = hub_words_;
+  }
+  return ref;
+}
+
+const MmapCorpus::HubTier& MmapCorpus::Hubs() const {
+  if (const HubTier* tier = hubs_.load(std::memory_order_acquire)) {
+    return *tier;
+  }
+  const auto is_hub = [this](uint64_t id) {
+    return ColumnCount(static_cast<ValueId>(id)) >= hub_threshold_;
+  };
+  size_t hubs = 0;
+  for (uint64_t id = 0; id < header_.num_values; ++id) hubs += is_hub(id);
+  auto fresh = std::make_unique<HubTier>();
+  fresh->ids.reserve(hubs);
+  for (uint64_t id = 0; id < header_.num_values; ++id) {
+    if (is_hub(id)) fresh->ids.push_back(static_cast<uint32_t>(id));
+  }
+  fresh->bits.reset(new std::atomic<uint64_t*>[fresh->ids.size()]());
+  HubTier* expected = nullptr;
+  if (hubs_.compare_exchange_strong(expected, fresh.get(),
+                                    std::memory_order_acq_rel,
+                                    std::memory_order_acquire)) {
+    return *fresh.release();
+  }
+  return *expected;  // Another reader published first; ours is freed.
+}
+
+const uint64_t* MmapCorpus::HubBits(ValueId id,
+                                    const PostingListRef& ref) const {
+  // Every posting takes at least one byte of its encoding, so a list whose
+  // count outruns its bytes is corrupt. Refusing it bounds the tier by the
+  // file size; the galloping path then reads the list as far as it goes.
+  if (ref.bytes.size() < ref.count) return nullptr;
+  const HubTier& tier = Hubs();
+  const auto slot = std::lower_bound(tier.ids.begin(), tier.ids.end(), id);
+  if (slot == tier.ids.end() || *slot != id) return nullptr;
+  std::atomic<uint64_t*>& cell = tier.bits[slot - tier.ids.begin()];
+  if (const uint64_t* built = cell.load(std::memory_order_acquire)) {
+    return built;
+  }
+  std::unique_ptr<uint64_t[]> fresh(new uint64_t[hub_words_]());
+  for (PostingCursor cur(ref); !cur.exhausted(); cur.Next()) {
+    const uint32_t column = cur.value();
+    if (column < header_.total_columns) {
+      fresh[column >> 6] |= uint64_t{1} << (column & 63);
+    }
+  }
+  uint64_t* expected = nullptr;
+  if (cell.compare_exchange_strong(expected, fresh.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    hub_bitmaps_built_.fetch_add(1, std::memory_order_relaxed);
+    return fresh.release();
+  }
+  return expected;  // Another reader published first; ours is freed.
+}
+
+size_t MmapCorpus::HeapBytes() const {
+  size_t bytes = sizeof(*this);
+  if (const HubTier* tier = hubs_.load(std::memory_order_acquire)) {
+    bytes += sizeof(HubTier) +
+             tier->ids.capacity() * sizeof(uint32_t) +
+             tier->ids.size() * sizeof(std::atomic<uint64_t*>);
+  }
+  return bytes + size_t{hub_bitmaps_built_.load(std::memory_order_relaxed)} *
+                     hub_words_ * sizeof(uint64_t);
 }
 
 std::string MmapCorpus::ValueString(ValueId id) const {

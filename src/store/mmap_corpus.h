@@ -11,16 +11,29 @@
 //   Lookup            O(1): open-address hash probe + front-coded decode of
 //                     one dictionary block to confirm the candidate.
 //   ColumnCount       O(1): the posting_counts array.
-//   CoOccurrenceCount galloping intersection that seeks via the per-list
+//   CoOccurrenceCount IntersectPostings over IntersectOperand(a) and
+//                     IntersectOperand(b): AND + popcount when both values
+//                     are hubs, one bit test per id when one is, otherwise
+//                     a galloping intersection that seeks via the per-list
 //                     skip tables and decodes only the touched 128-entry
-//                     blocks into stack buffers — no heap allocation, no
-//                     materialized posting vectors.
+//                     blocks into stack buffers.
 //
-// The class is immutable after Open and safe for concurrent readers.
+// Hub tier. A value is a hub when |C(s)| >= ceil(N / 128), N =
+// TotalColumns(), so its bitmap over [0, N) costs at most 16 bytes per
+// posting (4x its decoded list). A hub's bitmap is built the first time
+// one of its intersections is asked for, published into the hub's slot
+// with one compare-and-swap (a racing builder frees its copy), and shared
+// by every reader until the mapping is destroyed. The slots sit in a hub
+// directory (12 bytes per hub) built the same way on the first hub touch,
+// so Open() reads no posting data and HeapBytes() grows only with the hubs
+// queried. Counts are exact: a bitmap holds the same ids as its list.
+//
+// The snapshot is read-only after Open and safe for concurrent readers.
 
 #ifndef TEGRA_STORE_MMAP_CORPUS_H_
 #define TEGRA_STORE_MMAP_CORPUS_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -54,7 +67,8 @@ class MmapCorpus : public CorpusView {
   uint32_t CoOccurrenceCount(ValueId a, ValueId b) const override;
   std::string ValueString(ValueId id) const override;
   const char* FormatName() const override { return "mmap-v2"; }
-  size_t HeapBytes() const override { return sizeof(*this); }
+  /// The object plus the hub directory and the hub bitmaps built so far.
+  size_t HeapBytes() const override;
   size_t MappedBytes() const override { return map_size_; }
 
   // Snapshot-specific ------------------------------------------------------
@@ -68,14 +82,28 @@ class MmapCorpus : public CorpusView {
   const SnapshotHeader& header() const { return header_; }
   const SectionEntry& section(uint32_t kind) const;
 
-  /// \brief Borrowed raw encoding + count of one posting list. Lets a
-  /// ShardedCorpus intersect lists across shard files (column ids are
-  /// absolute, so cross-file intersection is well-defined) without
-  /// materializing them. Returns an empty ref for out-of-range ids.
+  /// \brief Borrowed raw encoding + count of one posting list, without a
+  /// hub bitmap (compaction decodes lists through this). Returns an empty
+  /// ref for out-of-range ids.
   PostingListRef Postings(ValueId id) const;
 
+  /// \brief Postings(id) plus, when the value is a hub, its shared bitmap
+  /// (built on the first call): the operand IntersectPostings wants. Lets
+  /// a ShardedCorpus intersect lists across shard files (column ids are
+  /// absolute, so cross-file intersection is well-defined) without
+  /// materializing them.
+  PostingListRef IntersectOperand(ValueId id) const;
+
  private:
+  struct HubTier;
+
   MmapCorpus() = default;
+
+  /// The hub directory, built and published on first use.
+  const HubTier& Hubs() const;
+  /// The bitmap of hub `ref` (value `id`), built and published on first use;
+  /// null when the list is too short in bytes to hold `ref.count` postings.
+  const uint64_t* HubBits(ValueId id, const PostingListRef& ref) const;
 
   /// Raw bytes of one posting list: posting_blob[off[id], off[id+1]).
   std::string_view PostingBytes(ValueId id) const;
@@ -97,6 +125,11 @@ class MmapCorpus : public CorpusView {
   const char* post_counts_ = nullptr;
   const char* post_blob_ = nullptr;
   uint64_t post_blob_len_ = 0;
+
+  uint32_t hub_threshold_ = 0;  ///< ceil(N / 128); UINT32_MAX when N == 0.
+  uint32_t hub_words_ = 0;      ///< ceil(N / 64) words per hub bitmap.
+  mutable std::atomic<HubTier*> hubs_{nullptr};
+  mutable std::atomic<uint32_t> hub_bitmaps_built_{0};
 };
 
 }  // namespace store

@@ -7,10 +7,19 @@
 //
 // PostingCursor decodes 128-entry blocks into a caller-owned stack buffer on
 // demand and supports sequential advance plus galloping SeekGE via the skip
-// table. It never heap-allocates. IntersectPostings runs the canonical
-// rare-drives-dense galloping intersection over two raw encodings; because
-// column ids are absolute in the encoding, the two lists may come from
-// *different* snapshot files as long as they share a column-id space.
+// table. It never heap-allocates, and it trusts nothing in the encoding: a
+// block count that disagrees with the list's count, a skip table that
+// overruns the list, or skip byte offsets that leave the stream end the list
+// early instead of reading or writing out of bounds (Verify() then reports
+// the short list as Corruption).
+//
+// IntersectPostings is the one |A ∩ B| kernel. When both refs carry a hub
+// bitmap (MmapCorpus::IntersectOperand) it is AND + popcount over the
+// bitmap words; when one does, the other list is decoded once and each id
+// tests one bit; otherwise the rarer list drives a galloping search of the
+// denser one. Because column ids are absolute in the encoding, the two
+// lists may come from *different* snapshot files as long as they share a
+// column-id space.
 
 #ifndef TEGRA_STORE_POSTING_CURSOR_H_
 #define TEGRA_STORE_POSTING_CURSOR_H_
@@ -33,6 +42,11 @@ namespace store {
 struct PostingListRef {
   std::string_view bytes;
   uint32_t count = 0;
+  /// Hub tier: the same set as a bitmap over column ids
+  /// [0, 64 * bit_words), or null. Owned by the snapshot that returned the
+  /// ref and valid as long as its mapping.
+  const uint64_t* bits = nullptr;
+  uint32_t bit_words = 0;
 };
 
 /// A cursor over one encoded posting list that decodes 128-entry blocks into
@@ -52,11 +66,20 @@ class PostingCursor {
       streams_ = bytes.data();
       streams_len_ = bytes.size();
     } else {
-      // u32 num_blocks, skip entries, then streams.
-      num_blocks_ = ReadU32LE(bytes.data());
+      // u32 num_blocks, skip entries, then streams. The block count must be
+      // exactly ceil(count / B) and the skip table must fit in the list;
+      // anything else is an inconsistent header and reads as no postings.
+      const uint64_t blocks =
+          (uint64_t{count_} + kPostingBlockSize - 1) / kPostingBlockSize;
+      if (bytes.size() < 4 || ReadU32LE(bytes.data()) != blocks ||
+          (bytes.size() - 4) / 8 < blocks) {
+        exhausted_ = true;
+        return;
+      }
+      num_blocks_ = static_cast<uint32_t>(blocks);
       skip_ = bytes.data() + 4;
-      streams_ = skip_ + static_cast<size_t>(num_blocks_) * 8;
-      streams_len_ = bytes.size() - 4 - static_cast<size_t>(num_blocks_) * 8;
+      streams_ = skip_ + blocks * 8;
+      streams_len_ = bytes.size() - 4 - blocks * 8;
     }
     LoadBlock(0);
   }
@@ -99,21 +122,22 @@ class PostingCursor {
       }
       LoadBlock(lo);
     }
-    // Binary search within the decoded block.
-    const uint32_t* begin = buf_ + pos_;
-    const uint32_t* end = buf_ + block_len_;
-    const uint32_t* it = std::lower_bound(begin, end, target);
-    if (it == end) {
+    // Binary search within the decoded block. With consistent skip ids the
+    // target lies in this block or starts the next one; skip ids that lie
+    // only cost further blocks, each loaded once, never a backwards move.
+    while (!exhausted_) {
+      const uint32_t* begin = buf_ + pos_;
+      const uint32_t* end = buf_ + block_len_;
+      const uint32_t* it = std::lower_bound(begin, end, target);
+      if (it != end) {
+        pos_ = static_cast<uint32_t>(it - buf_);
+        return;
+      }
       if (block_ + 1 < num_blocks_) {
-        LoadBlock(block_ + 1);  // First id of next block is > target - 1.
-        // buf_[0] may still be < target only if skip ids were consistent;
-        // guard anyway for robustness against odd (but valid) encodings.
-        if (buf_[0] < target) SeekGE(target);
+        LoadBlock(block_ + 1);
       } else {
         exhausted_ = true;
       }
-    } else {
-      pos_ = static_cast<uint32_t>(it - buf_);
     }
   }
 
@@ -140,11 +164,18 @@ class PostingCursor {
       prev = 0;
       first_decoded = 0;  // All block_len_ entries come from the stream.
     } else {
-      const uint32_t byte_off = ReadU32LE(skip_ + static_cast<size_t>(b) * 8 + 4);
-      const uint32_t byte_end =
+      const uint64_t byte_off =
+          ReadU32LE(skip_ + static_cast<size_t>(b) * 8 + 4);
+      const uint64_t byte_end =
           (b + 1 < num_blocks_)
               ? ReadU32LE(skip_ + static_cast<size_t>(b + 1) * 8 + 4)
-              : static_cast<uint32_t>(streams_len_);
+              : streams_len_;
+      if (byte_off > byte_end || byte_end > streams_len_) {
+        // Skip offsets outside the stream: the list ends here.
+        block_len_ = 0;
+        exhausted_ = true;
+        return;
+      }
       p = reinterpret_cast<const uint8_t*>(streams_) + byte_off;
       end = reinterpret_cast<const uint8_t*>(streams_) + byte_end;
       buf_[0] = BlockFirstId(b);
@@ -180,11 +211,33 @@ class PostingCursor {
   bool exhausted_ = false;
 };
 
-/// \brief |A ∩ B| by galloping intersection: the rarer list drives, the
-/// denser one is sought via its skip table. The lists may live in different
-/// snapshot files provided their column ids share one id space.
+/// \brief Popcount of a[i] & b[i] summed over `words` words: |A ∩ B| for
+/// two hub bitmaps. Out of line so it can use the CPU's popcount
+/// instruction where there is one (posting_cursor.cc).
+uint64_t AndPopcount(const uint64_t* a, const uint64_t* b, size_t words);
+
+/// \brief |A ∩ B|, exact. Hub ∩ hub is AND + popcount over the shorter
+/// bitmap; hub ∩ rare decodes the list without a bitmap once and tests one
+/// bit per id; rare ∩ rare is a galloping intersection where the rarer list
+/// drives and the denser one is sought via its skip table. The lists may
+/// live in different snapshot files provided their column ids share one id
+/// space.
 inline uint32_t IntersectPostings(PostingListRef a, PostingListRef b) {
   if (a.count == 0 || b.count == 0) return 0;
+  if (a.bits != nullptr && b.bits != nullptr) {
+    return static_cast<uint32_t>(
+        AndPopcount(a.bits, b.bits, std::min(a.bit_words, b.bit_words)));
+  }
+  if (b.bits != nullptr) std::swap(a, b);
+  if (a.bits != nullptr) {
+    const uint64_t limit = uint64_t{a.bit_words} * 64;
+    uint32_t hits = 0;
+    for (PostingCursor cur(b); !cur.exhausted(); cur.Next()) {
+      const uint32_t id = cur.value();
+      if (id < limit) hits += (a.bits[id >> 6] >> (id & 63)) & 1;
+    }
+    return hits;
+  }
   if (a.count > b.count) std::swap(a, b);
   PostingCursor rare(a);
   PostingCursor dense(b);

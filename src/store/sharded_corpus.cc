@@ -206,8 +206,8 @@ uint32_t ShardedCorpus::CoOccurrenceCount(ValueId a, ValueId b) const {
   // lists intersect directly even when a and b route to different shards.
   if (pa.base_part >= 0 && pb.base_part >= 0) {
     hits += IntersectPostings(
-        parts_[pa.base_part].corpus->Postings(pa.base_local),
-        parts_[pb.base_part].corpus->Postings(pb.base_local));
+        parts_[pa.base_part].corpus->IntersectOperand(pa.base_local),
+        parts_[pb.base_part].corpus->IntersectOperand(pb.base_local));
   }
   // Overlay contributions: each overlay owns a disjoint column range, so
   // only within-overlay pairs can intersect. Both lists are sorted by part.
@@ -221,8 +221,9 @@ uint32_t ShardedCorpus::CoOccurrenceCount(ValueId a, ValueId b) const {
       ++j;
     } else {
       const MmapCorpus& overlay = *parts_[part_a].corpus;
-      hits += IntersectPostings(overlay.Postings(pa.overlays[i].second),
-                                overlay.Postings(pb.overlays[j].second));
+      hits += IntersectPostings(
+          overlay.IntersectOperand(pa.overlays[i].second),
+          overlay.IntersectOperand(pb.overlays[j].second));
       ++i;
       ++j;
     }

@@ -16,10 +16,12 @@
 // Statistics decompose exactly because column-id spaces are disjoint:
 //   base shards share global columns [0, total_base_columns) while overlay
 //   k owns [base + sum of earlier overlay columns, ...). |C(s)| sums the
-//   per-part counts; |C(a) ∩ C(b)| is the cross-shard-file galloping
-//   intersection of the two base lists (column ids are absolute, so lists
-//   from different shard files intersect directly) plus one within-overlay
-//   intersection per overlay containing both values.
+//   per-part counts; |C(a) ∩ C(b)| is the cross-shard-file intersection of
+//   the two base lists (column ids are absolute, so lists — and the hub
+//   bitmaps of values dense enough to have one — from different shard files
+//   intersect directly) plus one within-overlay intersection per overlay
+//   containing both values. Every one goes through IntersectPostings on
+//   the parts' IntersectOperand refs.
 //
 // O(delta) reload
 //   Open() takes the previous generation's view; any shard/overlay whose

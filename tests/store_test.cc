@@ -6,7 +6,9 @@
 //    built from it, under the snapshot's relabeled (sorted) value ids.
 //  * Corruption matrix: every truncation point and a sweep of single-bit
 //    flips must surface as Status::Corruption from Open() or Verify() —
-//    never UB, never a crash, never silently wrong data.
+//    never UB, never a crash, never silently wrong data. Posting headers
+//    that lie (block counts, skip offsets) are decoded in bounds, both as
+//    raw bytes and inside a resealed snapshot that passes Open().
 //  * Retired formats: a file with the old heap-cache magic is Corruption to
 //    every opener.
 //  * Snapshot cache (OpenOrBuildSnapshot): builds once, then serves the
@@ -31,6 +33,7 @@
 #include <vector>
 
 #include "common/file_util.h"
+#include "common/varint.h"
 #include "corpus/column_index.h"
 #include "corpus/corpus_stats.h"
 #include "corpus/corpus_view.h"
@@ -39,6 +42,7 @@
 #include "store/crc32c.h"
 #include "store/format.h"
 #include "store/mmap_corpus.h"
+#include "store/posting_cursor.h"
 #include "store/snapshot_writer.h"
 #include "synth/corpus_gen.h"
 
@@ -342,6 +346,187 @@ TEST_F(StoreCorruptionTest, VerifyCorpusFileFlagsBitFlip) {
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
   std::remove(path.c_str());
+}
+
+// ---- Posting cursor on untrusted bytes -------------------------------------
+
+void OverwriteU32(std::string* bytes, size_t offset, uint32_t v) {
+  std::string le;
+  PutFixed32(&le, v);
+  bytes->replace(offset, 4, le);
+}
+
+/// Recomputes every section CRC and the header CRC after a deliberate edit,
+/// so the edited snapshot passes Open() and only the decoder can object.
+void Reseal(std::string* bytes) {
+  const size_t table = kHeaderBytes;
+  for (uint32_t i = 0; i < kSectionCount; ++i) {
+    const size_t entry = table + i * kSectionEntryBytes;
+    const uint64_t off = ReadU64LE(bytes->data() + entry + 8);
+    const uint64_t len = ReadU64LE(bytes->data() + entry + 16);
+    OverwriteU32(bytes, entry + 24, MaskCrc(Crc32c(bytes->data() + off, len)));
+  }
+  uint32_t crc = Crc32cExtend(0, bytes->data(), kHeaderBytes - 4);
+  crc = Crc32cExtend(crc, bytes->data() + table,
+                     kSectionCount * kSectionEntryBytes);
+  OverwriteU32(bytes, kHeaderBytes - 4, MaskCrc(crc));
+}
+
+/// The block encoding of format.h for `ids` (more than one block's worth).
+std::string EncodeBlocked(const std::vector<uint32_t>& ids) {
+  std::string skip, streams;
+  uint32_t blocks = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i % kPostingBlockSize == 0) {
+      PutFixed32(&skip, ids[i]);
+      PutFixed32(&skip, static_cast<uint32_t>(streams.size()));
+      ++blocks;
+    } else {
+      PutVarint(&streams, ids[i] - ids[i - 1]);
+    }
+  }
+  std::string out;
+  PutFixed32(&out, blocks);
+  return out + skip + streams;
+}
+
+TEST(PostingCursorTest, InconsistentHeadersEndTheListInBounds) {
+  std::vector<uint32_t> ids;
+  for (uint32_t i = 0; i < 200; ++i) ids.push_back(2 * i);
+  const uint32_t count = static_cast<uint32_t>(ids.size());
+  const std::string good = EncodeBlocked(ids);
+  ASSERT_EQ(DecodePostingList({good, count}), ids);
+  std::string other;  // Plain encoding of {1, 2, 256, 397, 398, 500}.
+  uint32_t prev = 0;
+  for (const uint32_t id : {1u, 2u, 256u, 397u, 398u, 500u}) {
+    PutVarint(&other, id - prev);
+    prev = id;
+  }
+  ASSERT_EQ(IntersectPostings({good, count}, {other, 6}), 3u);
+
+  // Two blocks, skip entries at [4, 20), streams after. Each variant lies
+  // about the layout; the cursor must decode at most the true prefix.
+  std::string five_blocks = good;  // The 200-entry list claiming 5 blocks.
+  OverwriteU32(&five_blocks, 0, 5);
+  std::string fake_skips;
+  for (uint32_t b = 2; b < 5; ++b) {
+    PutFixed32(&fake_skips, 1000 * b);
+    PutFixed32(&fake_skips, 0);
+  }
+  five_blocks.insert(20, fake_skips);
+  std::string one_block = good;
+  OverwriteU32(&one_block, 0, 1);
+  std::string huge_blocks = good;
+  OverwriteU32(&huge_blocks, 0, 0xffffffffu);
+  std::string far_offset = good;
+  OverwriteU32(&far_offset, 4 + 8 + 4, 0x7fffffffu);
+  std::string decreasing = good;
+  OverwriteU32(&decreasing, 4 + 4, 100);
+  OverwriteU32(&decreasing, 4 + 8 + 4, 50);
+  const std::string short_table = good.substr(0, 4 + 8);
+  const std::string too_short = good.substr(0, 3);
+
+  struct Case {
+    const char* name;
+    std::string bytes;
+    size_t max_decoded;
+  };
+  const Case cases[] = {
+      {"five_blocks", five_blocks, 0},  {"one_block", one_block, 0},
+      {"huge_blocks", huge_blocks, 0},  {"far_offset", far_offset, 0},
+      {"decreasing", decreasing, 0},    {"short_table", short_table, 0},
+      {"too_short", too_short, 0},
+  };
+  for (const Case& c : cases) {
+    const PostingListRef ref{c.bytes, count};
+    const std::vector<uint32_t> decoded = DecodePostingList(ref);
+    EXPECT_LE(decoded.size(), c.max_decoded) << c.name;
+    EXPECT_TRUE(std::equal(decoded.begin(), decoded.end(), ids.begin()))
+        << c.name;
+    for (const uint32_t target : {0u, 255u, 256u, 300u, 399u, 5000u}) {
+      PostingCursor cur(ref);
+      cur.SeekGE(target);
+      if (!cur.exhausted()) {
+        EXPECT_GE(cur.value(), target) << c.name;
+      }
+    }
+    EXPECT_LE(IntersectPostings(ref, {good, count}), c.max_decoded) << c.name;
+    EXPECT_LE(IntersectPostings({good, count}, ref), c.max_decoded) << c.name;
+  }
+}
+
+TEST(PostingCursorTest, LyingHeadersInAResealedSnapshotFailVerify) {
+  // Take the longest (block-encoded, hub) posting list, make its header
+  // lie, and reseal the file: Open() accepts it, every query stays in
+  // bounds (ASan / UBSan builds prove it), and Verify() calls it Corruption.
+  auto encoded = EncodeSnapshot(BuildCorpus());
+  ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
+  const std::string& intact = encoded.value();
+  const auto section = [&](uint32_t kind) {
+    return ReadU64LE(intact.data() + kHeaderBytes +
+                     (kind - 1) * kSectionEntryBytes + 8);
+  };
+  const uint64_t num_values = ReadU64LE(intact.data() + 24);
+  ValueId longest = 0;
+  uint32_t longest_count = 0;
+  for (uint64_t id = 0; id < num_values; ++id) {
+    const uint32_t count =
+        ReadU32LE(intact.data() + section(kPostingCounts) + id * 4);
+    if (count > longest_count) {
+      longest = static_cast<ValueId>(id);
+      longest_count = count;
+    }
+  }
+  ASSERT_GT(longest_count, kPostingBlockSize);
+  const size_t list = section(kPostingBlob) +
+                      ReadU64LE(intact.data() + section(kPostingOffsets) +
+                                uint64_t{longest} * 8);
+  const uint32_t blocks = ReadU32LE(intact.data() + list);
+  const size_t skip = list + 4;
+
+  struct Lie {
+    const char* name;
+    size_t offset;
+    uint32_t value;
+  };
+  const Lie lies[] = {
+      {"extra_blocks", list, blocks + 3},
+      {"huge_block_count", list, 0xffffffffu},
+      {"first_offset_past_stream", skip + 4, 0x7ffffff0u},
+      {"second_offset_past_stream", skip + 8 + 4, 0x7ffffff0u},
+      {"offsets_decrease", skip + 4, 0xffffu},
+  };
+  std::string resealed = intact;
+  Reseal(&resealed);
+  ASSERT_EQ(resealed, intact) << "Reseal must be the identity on a good file";
+  for (const Lie& lie : lies) {
+    std::string mutated = intact;
+    OverwriteU32(&mutated, lie.offset, lie.value);
+    Reseal(&mutated);
+    const std::string path = TempPath(std::string("lie_") + lie.name);
+    WriteRaw(path, mutated);
+    auto opened = MmapCorpus::Open(path);
+    ASSERT_TRUE(opened.ok()) << lie.name << ": " << opened.status().ToString();
+    const MmapCorpus& corpus = *opened.value();
+    EXPECT_LT(DecodePostingList(corpus.Postings(longest)).size(),
+              longest_count)
+        << lie.name;
+    // Hub and galloping paths both walk the lying list.
+    for (ValueId other = 0; other < corpus.NumValues(); other += 7) {
+      EXPECT_LE(corpus.CoOccurrenceCount(longest, other),
+                corpus.ColumnCount(other))
+          << lie.name;
+      EXPECT_LE(IntersectPostings(corpus.Postings(longest),
+                                  corpus.Postings(other)),
+                corpus.ColumnCount(other))
+          << lie.name;
+    }
+    const Status verified = corpus.Verify();
+    EXPECT_EQ(verified.code(), StatusCode::kCorruption)
+        << lie.name << ": " << verified.ToString();
+    opened.value().reset();
+    std::remove(path.c_str());
+  }
 }
 
 // ---- Durability ------------------------------------------------------------
