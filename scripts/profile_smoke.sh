@@ -5,8 +5,10 @@
 #   (a) a non-empty folded-stack profile whose frames symbolize into tegra
 #       code (frame-pointer walk + dladdr working end to end),
 #   (b) at least one OpenMetrics exemplar on /metrics?format=openmetrics,
-#   (c) a non-empty access log with one parseable JSON object per line,
-#   (d) a clean daemon shutdown via {"cmd":"quit"} (exit code 0).
+#   (c) a clean daemon shutdown via {"cmd":"quit"} (exit code 0),
+#   (d) a non-empty access log with one parseable JSON object per line,
+#   (e) every request retained by /slowlogz joins an access-log line with the
+#       same trace_id and total_ms (both render the same per-request record).
 # The folded profile lands in BENCH_profile.folded next to the build dir so
 # CI can archive it (flamegraph.pl / speedscope ingest it directly).
 #
@@ -101,6 +103,11 @@ assert exemplars, "no exemplars in OpenMetrics exposition"
 print("exemplars OK: %d buckets carry exemplars" % len(exemplars))
 ' "$WORK/openmetrics.txt"
 
+# Retained slow requests, fetched while the daemon still runs; joined against
+# the flushed access log after shutdown.
+curl -fsS "http://127.0.0.1:$ADMIN_PORT/slowlogz?format=json" \
+  > "$WORK/slowlogz.json"
+
 # (c) Clean shutdown: quit drains in-flight work and must exit 0.
 echo '{"cmd":"quit"}' >&9
 exec 9>&-
@@ -120,3 +127,28 @@ for line in lines:
     assert obj["endpoint"] == "/v1/extract", line
 print("access log OK: %d wide events" % len(lines))
 ' "$WORK/access.jsonl"
+
+# (e) The load is single bodies logged at --access-log-sample 1.0, so every
+# retained slow request has exactly its own access-log line: same trace id,
+# same total_ms to the log's printed precision (%g, 6 significant digits).
+python3 -c '
+import json, sys
+slow = json.load(open(sys.argv[1]))["records"]
+assert slow, "/slowlogz retained no requests"
+logged = {}
+for line in open(sys.argv[2]).read().splitlines():
+    if line.strip():
+        obj = json.loads(line)
+        logged.setdefault(obj["trace_id"], []).append(obj)
+for rec in slow:
+    tid = rec["trace_id"]
+    assert tid != 0, "retained request without a trace id: %r" % rec
+    lines = logged.get(tid, [])
+    assert len(lines) == 1, "trace %d has %d access-log lines" % (tid, len(lines))
+    want = "%g" % rec["total_ms"]
+    got = "%g" % lines[0]["total_ms"]
+    assert want == got, "trace %d: /slowlogz total_ms %s, access log %s" % (
+        tid, want, got)
+print("slowlogz join OK: %d retained requests match their access-log lines"
+      % len(slow))
+' "$WORK/slowlogz.json" "$WORK/access.jsonl"

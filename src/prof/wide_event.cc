@@ -1,37 +1,16 @@
 #include "prof/wide_event.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
+
+#include "trace/json_util.h"
 
 namespace tegra {
 namespace prof {
 
 namespace {
-
-// Local minimal JSON string escape (tegra_service's serve_json sits above
-// this library in the link order, so it can't be used here).
-std::string Escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // splitmix64: a cheap, well-mixed hash so the per-request keep decision is
 // deterministic (replayable in tests) yet uncorrelated with id assignment
@@ -50,6 +29,12 @@ std::string Num(double v) {
   return out.str();
 }
 
+std::string Escape(const std::string& in) {
+  std::string out;
+  trace::AppendJsonEscaped(&out, in);
+  return out;
+}
+
 }  // namespace
 
 std::string WideEvent::ToJson() const {
@@ -66,10 +51,26 @@ std::string WideEvent::ToJson() const {
       << ",\"total_ms\":" << Num(total_seconds * 1000.0)
       << ",\"sp_score\":" << Num(sp_score)
       << ",\"quality_level\":" << quality_level
+      << ",\"num_lines\":" << num_lines << ",\"columns\":" << num_columns
       << ",\"tenant\":\"" << Escape(tenant)
       << "\",\"bytes_in\":" << bytes_in
       << ",\"bytes_out\":" << bytes_out << "}";
   return out.str();
+}
+
+const char* OutcomeForStatus(const Status& status) {
+  switch (status.code()) {
+    case StatusCode::kOk:
+      return "ok";
+    case StatusCode::kUnavailable:
+      return "rejected";
+    case StatusCode::kDeadlineExceeded:
+      return "deadline_exceeded";
+    case StatusCode::kInvalidArgument:
+      return "bad_request";
+    default:
+      return "failed";
+  }
 }
 
 WideEventLog::~WideEventLog() {
@@ -135,6 +136,45 @@ bool WideEventLog::Record(const WideEvent& event) {
 void WideEventLog::Flush() {
   std::lock_guard<std::mutex> lock(mu_);
   if (sink_ != nullptr) fflush(sink_);
+}
+
+bool SlowEventLog::AdmitsLocked(double total_seconds) const {
+  return events_.size() < capacity_ ||
+         total_seconds > events_.back().total_seconds;
+}
+
+bool SlowEventLog::WouldAdmit(double total_seconds) const {
+  if (capacity_ == 0) return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  return AdmitsLocked(total_seconds);
+}
+
+bool SlowEventLog::Add(WideEvent event) {
+  if (capacity_ == 0) return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!AdmitsLocked(event.total_seconds)) return false;
+  // upper_bound keeps earlier-arrived events ahead of later ties.
+  auto pos = std::upper_bound(
+      events_.begin(), events_.end(), event.total_seconds,
+      [](double total, const WideEvent& e) { return total > e.total_seconds; });
+  events_.insert(pos, std::move(event));
+  if (events_.size() > capacity_) events_.pop_back();
+  return true;
+}
+
+std::vector<WideEvent> SlowEventLog::Snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return events_;
+}
+
+size_t SlowEventLog::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return events_.size();
+}
+
+void SlowEventLog::Clear() {
+  std::lock_guard<std::mutex> lock(mu_);
+  events_.clear();
 }
 
 }  // namespace prof

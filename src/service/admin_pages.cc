@@ -170,19 +170,24 @@ std::string HtmlEscape(std::string_view s) {
   return out;
 }
 
-JsonValue SlowlogToJson(const SlowRequestLog& slowlog) {
+JsonValue SlowlogToJson(const prof::SlowEventLog& slowlog) {
   JsonValue out = JsonValue::Object();
   out.Set("ok", JsonValue::Bool(true));
   JsonValue records = JsonValue::Array();
-  for (const SlowRequestRecord& rec : slowlog.Snapshot()) {
+  for (const prof::WideEvent& rec : slowlog.Snapshot()) {
     JsonValue r = JsonValue::Object();
     r.Set("trace_id", JsonValue::Number(static_cast<double>(rec.trace_id)));
+    r.Set("request_id",
+          JsonValue::Number(static_cast<double>(rec.request_id)));
     r.Set("total_ms", JsonValue::Number(rec.total_seconds * 1e3));
     r.Set("queue_ms", JsonValue::Number(rec.queue_seconds * 1e3));
     r.Set("extract_ms", JsonValue::Number(rec.extract_seconds * 1e3));
     r.Set("num_lines", JsonValue::Number(static_cast<double>(rec.num_lines)));
     r.Set("columns", JsonValue::Number(rec.num_columns));
     r.Set("sp", JsonValue::Number(rec.sp_score));
+    r.Set("quality_level", JsonValue::Number(rec.quality_level));
+    r.Set("corpus_generation",
+          JsonValue::Number(static_cast<double>(rec.corpus_generation)));
     r.Set("cache_hit", JsonValue::Bool(rec.cache_hit));
     r.Set("outcome", JsonValue::Str(rec.outcome));
     JsonValue spans = JsonValue::Array();
@@ -754,7 +759,7 @@ net::HttpResponse AdminPages::Slowlogz(const net::HttpRequest& request) {
   if (service_ == nullptr) {
     return net::HttpResponse::Text(503, "extraction service not attached\n");
   }
-  const SlowRequestLog& slowlog = service_->slowlog();
+  const prof::SlowEventLog& slowlog = service_->slowlog();
   if (request.Param("format") == "json") {
     return net::HttpResponse::Json(SlowlogToJson(slowlog).Dump());
   }
@@ -764,10 +769,11 @@ net::HttpResponse AdminPages::Slowlogz(const net::HttpRequest& request) {
   body += "<p>slowest " + std::to_string(slowlog.size()) + " of capacity " +
           std::to_string(slowlog.capacity()) +
           " — <a href=\"/slowlogz?format=json\">json</a></p>\n";
-  for (const SlowRequestRecord& rec : slowlog.Snapshot()) {
+  for (const prof::WideEvent& rec : slowlog.Snapshot()) {
     body += "<h2>trace " + std::to_string(rec.trace_id) + " — " +
             FormatDouble(rec.total_seconds * 1e3, 2) + " ms (" +
             HtmlEscape(rec.outcome) + ")</h2>\n<table>\n";
+    RowCount(&body, "request_id", rec.request_id);
     RowNum(&body, "queue_ms", rec.queue_seconds * 1e3, 2);
     RowNum(&body, "extract_ms", rec.extract_seconds * 1e3, 2);
     RowCount(&body, "num_lines", rec.num_lines);
@@ -775,6 +781,10 @@ net::HttpResponse AdminPages::Slowlogz(const net::HttpRequest& request) {
                                    rec.num_columns < 0 ? 0 : rec.num_columns));
     Row(&body, "sp_score",
         rec.sp_score < 0 ? "n/a" : FormatDouble(rec.sp_score, 4));
+    Row(&body, "quality_level",
+        std::to_string(rec.quality_level) + " (" +
+            qos::RungName(rec.quality_level) + ")");
+    RowCount(&body, "corpus_generation", rec.corpus_generation);
     Row(&body, "cache_hit", rec.cache_hit ? "yes" : "no");
     body += "</table>\n";
     if (!rec.spans.empty()) {

@@ -60,7 +60,6 @@
 #include "qos/token_bucket.h"
 #include "service/extraction_service.h"
 #include "service/serve_json.h"
-#include "service/slowlog.h"
 #include "store/corpus_manager.h"
 #include "trace/trace.h"
 
@@ -184,8 +183,9 @@ class AdminPages {
   std::list<ProfileCapture> captures_;  // Guarded by captures_mu_.
 };
 
-/// \brief Renders the slow-request log as {"ok":true,"records":[...]}.
-JsonValue SlowlogToJson(const SlowRequestLog& slowlog);
+/// \brief Renders the retained slow wide events as
+/// {"ok":true,"records":[...]}.
+JsonValue SlowlogToJson(const prof::SlowEventLog& slowlog);
 
 /// \brief Escapes `s` for embedding in HTML text content.
 std::string HtmlEscape(std::string_view s);

@@ -74,20 +74,18 @@ net::HttpResponse QuotaRejected(const std::string& tenant,
   return response;
 }
 
-/// Human-readable outcome label for the wide-event access log.
-const char* OutcomeForStatus(const Status& status) {
-  switch (status.code()) {
-    case StatusCode::kOk:
-      return "ok";
-    case StatusCode::kUnavailable:
-      return "rejected";
-    case StatusCode::kDeadlineExceeded:
-      return "deadline_exceeded";
-    case StatusCode::kInvalidArgument:
-      return "bad_request";
-    default:
-      return "failed";
-  }
+/// Adds the HTTP-only fields of an exchange to a request's record and
+/// writes it to the access log (when one is attached).
+void RecordExchange(prof::WideEventLog* log, prof::WideEvent event,
+                    const std::string& tenant, uint64_t bytes_in,
+                    const net::HttpResponse& http) {
+  if (log == nullptr || !log->enabled()) return;
+  event.endpoint = "/v1/extract";
+  event.http_status = http.status;
+  event.tenant = tenant;
+  event.bytes_in = bytes_in;
+  event.bytes_out = http.body.size();
+  log->Record(event);
 }
 
 /// Cross-thread aggregation of one batch: items complete on arbitrary
@@ -131,42 +129,39 @@ void FinishBatch(BatchState* state) {
         std::to_string(RetryAfterHint(drain, state->request_id)));
   }
 
-  // One wide event per HTTP exchange: the batch aggregates to the shape of
-  // its worst item so tail sampling keys off the same signals as a single
+  // One wide event per HTTP exchange: the batch reports as its slowest
+  // item's record (trace id, total latency) aggregated to the shape of its
+  // worst item, so tail sampling keys off the same signals as a single
   // request (any error, slowest item).
   if (state->wide != nullptr && state->wide->enabled()) {
-    prof::WideEvent event;
-    event.request_id = state->request_id;
-    event.endpoint = "/v1/extract";
-    event.http_status = response.status;
+    const std::vector<ExtractionResponse>& responses = state->responses;
+    prof::WideEvent event =
+        std::max_element(responses.begin(), responses.end(),
+                         [](const ExtractionResponse& a,
+                            const ExtractionResponse& b) {
+                           return a.event.total_seconds <
+                                  b.event.total_seconds;
+                         })
+            ->event;
     event.batch = true;
-    event.items = static_cast<int>(state->responses.size());
-    event.bytes_in = state->bytes_in;
-    event.bytes_out = response.body.size();
-    event.cache_hit = !state->responses.empty();
+    event.items = static_cast<int>(responses.size());
+    event.extract_seconds = 0;
+    event.num_lines = 0;
     bool any_failed = false;
-    for (const ExtractionResponse& r : state->responses) {
-      event.cache_hit = event.cache_hit && r.cache_hit;
-      event.extract_seconds += r.extract_seconds;
-      event.queue_seconds = std::max(event.queue_seconds, r.queue_seconds);
-      if (r.total_seconds > event.total_seconds) {
-        event.total_seconds = r.total_seconds;
-        event.trace_id = r.trace_id;  // the slowest item's trace
-      }
-      if (r.corpus_generation != 0) {
-        event.corpus_generation = r.corpus_generation;
-      }
-      if (r.result != nullptr) {
-        event.sp_score = std::max(event.sp_score,
-                                  r.result->per_pair_objective);
-      }
-      event.quality_level = std::max(event.quality_level, r.quality_level);
-      if (!r.ok()) any_failed = true;
+    for (const ExtractionResponse& item : responses) {
+      const prof::WideEvent& e = item.event;
+      event.cache_hit = event.cache_hit && e.cache_hit;
+      event.queue_seconds = std::max(event.queue_seconds, e.queue_seconds);
+      event.extract_seconds += e.extract_seconds;
+      event.sp_score = std::max(event.sp_score, e.sp_score);
+      event.quality_level = std::max(event.quality_level, e.quality_level);
+      event.num_lines += e.num_lines;
+      if (!item.ok()) any_failed = true;
     }
-    event.tenant = state->tenant;
     event.outcome =
         all_unavailable ? "rejected" : (any_failed ? "partial" : "ok");
-    state->wide->Record(event);
+    RecordExchange(state->wide, std::move(event), state->tenant,
+                   state->bytes_in, response);
   }
 
   state->done(std::move(response));
@@ -195,15 +190,16 @@ int HttpStatusForExtraction(const Status& status) {
 
 JsonValue ExtractionResponseToJson(const JsonValue* id,
                                    const ExtractionResponse& resp) {
+  const prof::WideEvent& event = resp.event;
   JsonValue out = JsonValue::Object();
   if (id != nullptr && !id->is_null()) out.Set("id", *id);
   if (!resp.ok()) {
     out.Set("ok", JsonValue::Bool(false));
     out.Set("code", JsonValue::Str(StatusCodeToString(resp.status.code())));
     out.Set("error", JsonValue::Str(resp.status.message()));
-    out.Set("quality_level", JsonValue::Number(resp.quality_level));
-    out.Set("queue_ms", JsonValue::Number(resp.queue_seconds * 1e3));
-    out.Set("total_ms", JsonValue::Number(resp.total_seconds * 1e3));
+    out.Set("quality_level", JsonValue::Number(event.quality_level));
+    out.Set("queue_ms", JsonValue::Number(event.queue_seconds * 1e3));
+    out.Set("total_ms", JsonValue::Number(event.total_seconds * 1e3));
     return out;
   }
   const ExtractionResult& result = *resp.result;
@@ -219,11 +215,11 @@ JsonValue ExtractionResponseToJson(const JsonValue* id,
   out.Set("sp", JsonValue::Number(result.sp));
   out.Set("per_column_objective",
           JsonValue::Number(result.per_column_objective));
-  out.Set("quality_level", JsonValue::Number(resp.quality_level));
-  out.Set("cache_hit", JsonValue::Bool(resp.cache_hit));
-  out.Set("queue_ms", JsonValue::Number(resp.queue_seconds * 1e3));
-  out.Set("extract_ms", JsonValue::Number(resp.extract_seconds * 1e3));
-  out.Set("total_ms", JsonValue::Number(resp.total_seconds * 1e3));
+  out.Set("quality_level", JsonValue::Number(event.quality_level));
+  out.Set("cache_hit", JsonValue::Bool(event.cache_hit));
+  out.Set("queue_ms", JsonValue::Number(event.queue_seconds * 1e3));
+  out.Set("extract_ms", JsonValue::Number(event.extract_seconds * 1e3));
+  out.Set("total_ms", JsonValue::Number(event.total_seconds * 1e3));
   return out;
 }
 
@@ -307,16 +303,12 @@ Status DataPlane::ParseExtraction(const JsonValue& body,
 
 void DataPlane::RecordBadRequest(const net::HttpRequest& request,
                                  const net::HttpResponse& response) {
-  if (wide_events_ == nullptr || !wide_events_->enabled()) return;
   prof::WideEvent event;
   event.request_id = request.request_id;
-  event.endpoint = request.path;
   event.outcome = "bad_request";
-  event.http_status = response.status;
   event.items = 0;
-  event.bytes_in = request.body.size();
-  event.bytes_out = response.body.size();
-  wide_events_->Record(event);
+  RecordExchange(wide_events_, std::move(event), /*tenant=*/"",
+                 request.body.size(), response);
 }
 
 bool DataPlane::CheckQuota(const net::HttpRequest& request,
@@ -332,18 +324,12 @@ bool DataPlane::CheckQuota(const net::HttpRequest& request,
   const int retry_after =
       RetryAfterHint(decision.retry_after_seconds, request.request_id);
   net::HttpResponse response = QuotaRejected(bucket, retry_after);
-  if (wide_events_ != nullptr && wide_events_->enabled()) {
-    prof::WideEvent event;
-    event.request_id = request.request_id;
-    event.endpoint = request.path;
-    event.outcome = "quota_rejected";
-    event.http_status = response.status;
-    event.items = static_cast<int>(tokens);
-    event.tenant = tenant;
-    event.bytes_in = request.body.size();
-    event.bytes_out = response.body.size();
-    wide_events_->Record(event);
-  }
+  prof::WideEvent event;
+  event.request_id = request.request_id;
+  event.outcome = "quota_rejected";
+  event.items = static_cast<int>(tokens);
+  RecordExchange(wide_events_, std::move(event), tenant, request.body.size(),
+                 response);
   (*done)(std::move(response));
   return false;
 }
@@ -465,32 +451,13 @@ void DataPlane::HandleExtract(const net::HttpRequest& request,
         int retry_after = 1;
         if (response.status.code() == StatusCode::kUnavailable) {
           retry_after = RetryAfterHint(service->EstimatedDrainSeconds(),
-                                       response.request_id);
+                                       response.event.request_id);
         }
         net::HttpResponse http = JsonWithStatus(
             response.status, ExtractionResponseToJson(id_ptr, response),
             retry_after);
-        if (wide != nullptr && wide->enabled()) {
-          prof::WideEvent event;
-          event.request_id = response.request_id;
-          event.trace_id = response.trace_id;
-          event.endpoint = "/v1/extract";
-          event.outcome = OutcomeForStatus(response.status);
-          event.http_status = http.status;
-          event.cache_hit = response.cache_hit;
-          event.corpus_generation = response.corpus_generation;
-          event.queue_seconds = response.queue_seconds;
-          event.extract_seconds = response.extract_seconds;
-          event.total_seconds = response.total_seconds;
-          if (response.result != nullptr) {
-            event.sp_score = response.result->per_pair_objective;
-          }
-          event.quality_level = response.quality_level;
-          event.tenant = tenant;
-          event.bytes_in = bytes_in;
-          event.bytes_out = http.body.size();
-          wide->Record(event);
-        }
+        RecordExchange(wide, std::move(response.event), tenant, bytes_in,
+                       http);
         done(std::move(http));
       });
 }

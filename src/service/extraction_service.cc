@@ -19,8 +19,14 @@ double Seconds(Clock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
 
-ExtractionResponse RejectedResponse(Status status) {
+/// The answer to a request that never reached a worker (shed, shut down).
+ExtractionResponse RejectedResponse(const ExtractionRequest& request,
+                                    Status status) {
   ExtractionResponse response;
+  response.event.request_id = request.request_id;
+  response.event.outcome = prof::OutcomeForStatus(status);
+  response.event.num_lines = request.lines.size();
+  response.event.num_columns = request.num_columns;
   response.status = std::move(status);
   return response;
 }
@@ -100,7 +106,8 @@ void ExtractionService::Shutdown() {
   for (PendingRequest& pending : drained) {
     rejected_total_->Increment();
     Deliver(&pending,
-            RejectedResponse(Status::Unavailable("service shutting down")));
+            RejectedResponse(pending.request,
+                             Status::Unavailable("service shutting down")));
   }
   // Serialize the join phase so concurrent Shutdown calls (e.g. an explicit
   // Shutdown racing the destructor) cannot both walk workers_.
@@ -150,7 +157,7 @@ void ExtractionService::Enqueue(PendingRequest pending) {
   }
   if (!reject.ok()) {
     rejected_total_->Increment();
-    Deliver(&pending, RejectedResponse(std::move(reject)));
+    Deliver(&pending, RejectedResponse(pending.request, std::move(reject)));
     return;
   }
   cv_.notify_one();
@@ -232,31 +239,27 @@ void ExtractionService::Process(PendingRequest pending) {
   }
 
   ExtractionResponse response;
-  response.queue_seconds = queue_seconds;
-  response.request_id = pending.request.request_id;
-  response.trace_id = trace_ctx.trace_id();
+  prof::WideEvent& event = response.event;
+  event.request_id = pending.request.request_id;
+  event.trace_id = trace_ctx.trace_id();
+  event.queue_seconds = queue_seconds;
+  event.num_lines = pending.request.lines.size();
+  event.num_columns = pending.request.num_columns;
 
-  // One exit path: finalize timings, retain into the slow-request log with
-  // the captured span tree, then satisfy the promise.
-  auto finish = [&](const char* outcome) {
-    response.total_seconds = Seconds(Clock::now() - pending.enqueue_time);
-    total_latency_->Observe(response.total_seconds);
-    if (slowlog_.capacity() > 0) {
-      SlowRequestRecord record;
-      record.trace_id = trace_ctx.trace_id();
-      record.total_seconds = response.total_seconds;
-      record.queue_seconds = response.queue_seconds;
-      record.extract_seconds = response.extract_seconds;
-      record.num_lines = pending.request.lines.size();
-      record.num_columns = pending.request.num_columns;
-      if (response.result != nullptr) {
-        record.sp_score = response.result->per_pair_objective;
-      }
-      record.quality_level = response.quality_level;
-      record.cache_hit = response.cache_hit;
-      record.outcome = outcome;
-      record.spans = trace_ctx.Events();
-      slowlog_.Add(std::move(record));
+  // One exit path: finalize the record, retain a copy with the captured span
+  // tree when it is among the slowest, then satisfy the promise.
+  auto finish = [&](Status status) {
+    event.outcome = prof::OutcomeForStatus(status);
+    response.status = std::move(status);
+    if (response.result != nullptr) {
+      event.sp_score = response.result->per_pair_objective;
+    }
+    event.total_seconds = Seconds(Clock::now() - pending.enqueue_time);
+    total_latency_->Observe(event.total_seconds);
+    if (slowlog_.WouldAdmit(event.total_seconds)) {
+      prof::WideEvent retained = event;
+      retained.spans = trace_ctx.Events();
+      slowlog_.Add(std::move(retained));
     }
     Deliver(&pending, std::move(response));
   };
@@ -265,10 +268,9 @@ void ExtractionService::Process(PendingRequest pending) {
   // caller has already timed out.
   if (pending.has_deadline && start >= pending.deadline) {
     deadline_exceeded_total_->Increment();
-    response.status = Status::DeadlineExceeded(
-        "request expired after waiting " +
-        std::to_string(queue_seconds) + "s in queue");
-    finish("deadline_exceeded");
+    finish(Status::DeadlineExceeded("request expired after waiting " +
+                                    std::to_string(queue_seconds) +
+                                    "s in queue"));
     return;
   }
 
@@ -286,11 +288,10 @@ void ExtractionService::Process(PendingRequest pending) {
   const EngineRef engine = source_->Acquire();
   if (!engine) {
     failed_total_->Increment();
-    response.status = Status::Unavailable("no extraction engine loaded");
-    finish("failed");
+    finish(Status::Unavailable("no extraction engine loaded"));
     return;
   }
-  response.corpus_generation = engine.generation;
+  event.corpus_generation = engine.generation;
 
   // Quality selection happens at dequeue time (not Submit), so a request
   // that waited through a pressure spike executes at whatever rung the
@@ -300,7 +301,7 @@ void ExtractionService::Process(PendingRequest pending) {
   if (options_.degradation != nullptr && engine.rungs != nullptr) {
     rung = qos::ClampRung(options_.degradation->rung());
   }
-  response.quality_level = rung;
+  event.quality_level = rung;
   rung_requests_[rung]->Increment();
   if (rung > 0) degraded_total_->Increment();
 
@@ -325,9 +326,9 @@ void ExtractionService::Process(PendingRequest pending) {
     if (hit) {
       cache_hits_->Increment();
       completed_total_->Increment();
-      response.cache_hit = true;
+      event.cache_hit = true;
       response.result = std::move(*hit);
-      finish("ok");
+      finish(Status::OK());
       return;
     }
     cache_misses_->Increment();
@@ -342,13 +343,12 @@ void ExtractionService::Process(PendingRequest pending) {
                                                  request.num_columns)
           : engine.extractor->Extract(request.lines);
   execute_span.End();
-  response.extract_seconds = Seconds(Clock::now() - start);
-  extract_latency_->Observe(response.extract_seconds);
+  event.extract_seconds = Seconds(Clock::now() - start);
+  extract_latency_->Observe(event.extract_seconds);
 
   if (!result.ok()) {
     failed_total_->Increment();
-    response.status = result.status();
-    finish("failed");
+    finish(result.status());
     return;
   }
   completed_total_->Increment();
@@ -356,7 +356,7 @@ void ExtractionService::Process(PendingRequest pending) {
       std::move(result).value());
   if (use_cache) result_cache_.Put(key, shared);
   response.result = std::move(shared);
-  finish("ok");
+  finish(Status::OK());
 }
 
 size_t ExtractionService::QueueDepth() const {

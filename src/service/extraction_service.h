@@ -45,11 +45,11 @@
 #include "common/status.h"
 #include "core/tegra.h"
 #include "health/heartbeat.h"
+#include "prof/wide_event.h"
 #include "qos/degradation.h"
 #include "service/extractor_source.h"
 #include "service/lru_cache.h"
 #include "service/metrics.h"
-#include "service/slowlog.h"
 #include "trace/trace.h"
 
 namespace tegra {
@@ -116,22 +116,14 @@ struct ExtractionResponse {
   /// Valid when status.ok(). Shared with the result cache — treat as
   /// immutable.
   std::shared_ptr<const ExtractionResult> result;
-  bool cache_hit = false;
-  double queue_seconds = 0;    ///< Time spent waiting for a worker.
-  double extract_seconds = 0;  ///< Time inside the extractor (0 on cache hit).
-  double total_seconds = 0;    ///< Submit-to-completion wall clock.
-  uint64_t request_id = 0;     ///< Echo of ExtractionRequest::request_id.
-  /// TraceContext id of this request's span tree (0 when tracing is off or
-  /// the request was rejected before reaching a worker). Joins the response
-  /// to /slowlogz, /tracez and OpenMetrics exemplars.
-  uint64_t trace_id = 0;
-  /// Corpus generation the request executed against (0 before an engine was
-  /// acquired).
-  uint64_t corpus_generation = 0;
-  /// Degradation rung the request executed at (qos::RungName). 0 = full
-  /// pipeline — always 0 when qos is off or the request never reached a
-  /// worker.
-  int quality_level = 0;
+  /// The request's record: request id, trace id (joins the response to
+  /// /slowlogz, /tracez and OpenMetrics exemplars; 0 when tracing is off or
+  /// the request never reached a worker), queue/extract/total seconds,
+  /// cache disposition, corpus generation, degradation rung (always 0 when
+  /// qos is off), SP score, list size and outcome. The data plane adds the
+  /// HTTP fields and writes it to the access log. `spans` stays empty here;
+  /// only the copy the slow-event log retains carries the span tree.
+  prof::WideEvent event;
 
   bool ok() const { return status.ok(); }
 };
@@ -205,7 +197,7 @@ class ExtractionService {
   MetricsRegistry* metrics();
 
   /// The N slowest requests seen so far, with their captured span trees.
-  const SlowRequestLog& slowlog() const { return slowlog_; }
+  const prof::SlowEventLog& slowlog() const { return slowlog_; }
 
   const ServiceOptions& options() const { return options_; }
 
@@ -259,7 +251,7 @@ class ExtractionService {
 
   ShardedLruCache<uint64_t, std::shared_ptr<const ExtractionResult>>
       result_cache_;
-  SlowRequestLog slowlog_;
+  prof::SlowEventLog slowlog_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

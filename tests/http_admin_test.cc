@@ -1,8 +1,9 @@
 // Tests for the HTTP admin plane: AdminPages (the zPage set wired to a live
 // ExtractionService) served on a net::HttpServer listener named "admin" —
 // routing, 404/405, the off-loop /pprof/profile capture, metric isolation
-// from the data plane, lifecycle — plus the TSan-relevant concurrency cases:
-// scrapes racing extractions and Stop() racing in-flight requests.
+// from the data plane, lifecycle, the /slowlogz rendering of retained wide
+// events — plus the TSan-relevant concurrency cases: scrapes racing
+// extractions and Stop() racing in-flight requests.
 
 #include "service/admin_pages.h"
 
@@ -19,6 +20,8 @@
 #include "corpus/corpus_stats.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
+#include "qos/degradation.h"
+#include "qos/rung_engine.h"
 #include "service/extraction_service.h"
 #include "service/serve_json.h"
 #include "store/corpus_manager.h"
@@ -335,6 +338,82 @@ TEST_F(AdminPagesTest, QueryParametersAreDecodedAndDispatched) {
   ASSERT_TRUE(html.ok());
   EXPECT_NE(html->Header("content-type").find("text/html"),
             std::string::npos);
+}
+
+TEST_F(AdminPagesTest, SlowlogzShowsTheDegradationRung) {
+  // Per-rung engines plus a ladder held at rung 1: every request executes
+  // degraded, and /slowlogz must say so.
+  qos::RungEngine rungs(stats_, extractor_->options());
+  FixedExtractorSource source(extractor_);
+  source.set_rungs(&rungs);
+  qos::DegradationController controller(qos::DegradationOptions{}, nullptr);
+  qos::QosSignals overloaded;
+  overloaded.queue_fraction = 1.0;  // pressure 2 at the default target
+  controller.Evaluate(overloaded, 0.0);
+  ASSERT_EQ(controller.Evaluate(overloaded, 1.0), 1);
+
+  MetricsRegistry registry;
+  ServiceOptions options;
+  options.degradation = &controller;
+  ExtractionService service(&source, options, &registry);
+  ExtractionRequest request = MakeRequest();
+  request.request_id = 77;
+  const ExtractionResponse response = service.SubmitAndWait(request);
+  ASSERT_TRUE(response.ok()) << response.status.ToString();
+  EXPECT_EQ(response.event.quality_level, 1);
+
+  AdminPages pages(&service, &trace::Tracer::Global(), manager_);
+  auto server = MakeAdminServer(&pages, &registry);
+  ASSERT_TRUE(server->Start().ok());
+  net::HttpClient client("127.0.0.1", server->port());
+  const auto json = client.Get("/slowlogz?format=json");
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  const auto parsed = ParseJson(json->body);
+  ASSERT_TRUE(parsed.ok()) << json->body;
+  const auto& records = (*parsed)["records"].AsArray();
+  ASSERT_EQ(records.size(), 1u) << json->body;
+  EXPECT_EQ(records[0]["quality_level"].AsNumber(-1), 1) << json->body;
+  EXPECT_EQ(records[0]["corpus_generation"].AsNumber(-1), 1) << json->body;
+  EXPECT_EQ(records[0]["request_id"].AsNumber(-1), 77) << json->body;
+  EXPECT_EQ(records[0]["outcome"].AsString(), "ok");
+
+  const auto html = client.Get("/slowlogz");
+  ASSERT_TRUE(html.ok());
+  EXPECT_NE(html->body.find("1 (anchor_budget)"), std::string::npos)
+      << html->body;
+}
+
+TEST(SlowlogzTest, JsonRenderingIncludesSpAndSpans) {
+  prof::SlowEventLog log(4);
+  prof::WideEvent rec;
+  rec.trace_id = 11;
+  rec.total_seconds = 0.5;
+  rec.queue_seconds = 0.125;
+  rec.extract_seconds = 0.375;
+  rec.num_lines = 8;
+  rec.num_columns = 3;
+  rec.outcome = "ok";
+  rec.sp_score = 0.31;
+  trace::TraceEvent span;
+  span.name = "extract";
+  span.category = "core";
+  span.span_id = 1;
+  span.duration_us = 500;
+  rec.spans.push_back(span);
+  log.Add(rec);
+
+  const JsonValue out = SlowlogToJson(log);
+  EXPECT_TRUE(out["ok"].AsBool(false));
+  const auto& records = out["records"].AsArray();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_DOUBLE_EQ(records[0]["sp"].AsNumber(-1), 0.31);
+  EXPECT_DOUBLE_EQ(records[0]["total_ms"].AsNumber(0), 500.0);
+  const auto& spans = records[0]["spans"].AsArray();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0]["name"].AsString(), "extract");
+  // The dump is one NDJSON-safe line.
+  const std::string dump = out.Dump();
+  EXPECT_EQ(dump.find('\n'), std::string::npos);
 }
 
 TEST_F(AdminPagesTest, ReadyzReports503WhenQueueSaturated) {

@@ -1,5 +1,6 @@
 // Unit tests for tegra::prof — the sampling CPU profiler, histogram
 // exemplars, the wide-event access log and the runtime-stats collector.
+// The slow-event log behind /slowlogz has its own slowlog_test.
 //
 // The profiler tests are deliberately conservative about *what* they assert:
 // SIGPROF fires on consumed CPU time, so each test burns CPU on purpose and
@@ -9,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -68,13 +70,25 @@ TEST(WideEventTest, ToJsonRoundTripsThroughParser) {
 
 TEST(WideEventTest, ToJsonEscapesStrings) {
   WideEvent event = SampleEvent();
-  event.outcome = "bad\"quote\nnewline";
+  event.outcome = "bad\"quote\nnewline\\back\x01ctl";
   const auto parsed = serve::ParseJson(event.ToJson());
   ASSERT_TRUE(parsed.ok()) << event.ToJson();
-  EXPECT_EQ((*parsed)["outcome"].AsString(), "bad\"quote\nnewline");
+  EXPECT_EQ((*parsed)["outcome"].AsString(),
+            "bad\"quote\nnewline\\back\x01ctl");
 }
 
-TEST(WideEventLogTest, TailSamplingKeepsErrorsAndSlowRequests) {
+TEST(WideEventTest, OutcomeForStatusNamesEveryAnswer) {
+  EXPECT_STREQ(OutcomeForStatus(Status::OK()), "ok");
+  EXPECT_STREQ(OutcomeForStatus(Status::Unavailable("queue full")),
+               "rejected");
+  EXPECT_STREQ(OutcomeForStatus(Status::DeadlineExceeded("late")),
+               "deadline_exceeded");
+  EXPECT_STREQ(OutcomeForStatus(Status::InvalidArgument("no lines")),
+               "bad_request");
+  EXPECT_STREQ(OutcomeForStatus(Status::Internal("boom")), "failed");
+}
+
+TEST(WideEventLogTest, TailSamplingKeepsErrorsAndSlowEvents) {
   WideEventLog log;
   WideEventLog::Options options;
   options.sample = 0.0;  // Drop every ordinary request...

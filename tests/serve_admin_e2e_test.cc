@@ -220,6 +220,27 @@ TEST(ServeAdminE2eTest, RetiredTelemetryCommandsAreBadRequests) {
   EXPECT_EQ(daemon.Wait(), 0);
 }
 
+TEST(ServeAdminE2eTest, UnknownLogFormatOrLevelIsAUsageError) {
+  // A misspelt value must not silently fall back to a default.
+  const std::vector<std::vector<std::string>> bad = {
+      {"--log-format", "JSON"}, {"--log-format", "xml"},
+      {"--log-level", "warning"}, {"--log-level", ""}};
+  for (const auto& args : bad) {
+    ServeProcess daemon;
+    ASSERT_TRUE(daemon.Start(args));
+    EXPECT_EQ(daemon.Wait(), 2) << args[0] << " " << args[1];
+  }
+  // Every documented value parses (--help then exits 0 before serving).
+  for (const char* format : {"text", "json"}) {
+    for (const char* level : {"debug", "info", "warn", "error"}) {
+      ServeProcess daemon;
+      ASSERT_TRUE(daemon.Start(
+          {"--log-format", format, "--log-level", level, "--help"}));
+      EXPECT_EQ(daemon.Wait(), 0) << format << " " << level;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace tegra

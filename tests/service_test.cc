@@ -93,8 +93,8 @@ TEST_F(ServiceTest, SingleRequestMatchesSequentialExtractor) {
   EXPECT_EQ(response.result->num_columns, expected->num_columns);
   EXPECT_EQ(response.result->bounds, expected->bounds);
   EXPECT_DOUBLE_EQ(response.result->sp, expected->sp);
-  EXPECT_FALSE(response.cache_hit);
-  EXPECT_GE(response.total_seconds, 0);
+  EXPECT_FALSE(response.event.cache_hit);
+  EXPECT_GE(response.event.total_seconds, 0);
 }
 
 TEST_F(ServiceTest, EightConcurrentClientsMatchSequentialByteForByte) {
@@ -221,7 +221,7 @@ TEST_F(ServiceTest, ExpiredDeadlineIsReportedWithoutBurningExtractionCpu) {
   EXPECT_TRUE(response.status.IsDeadlineExceeded())
       << response.status.ToString();
   EXPECT_EQ(response.result, nullptr);
-  EXPECT_DOUBLE_EQ(response.extract_seconds, 0);
+  EXPECT_DOUBLE_EQ(response.event.extract_seconds, 0);
 }
 
 TEST_F(ServiceTest, RepeatedListIsServedFromCacheIdentically) {
@@ -232,12 +232,12 @@ TEST_F(ServiceTest, RepeatedListIsServedFromCacheIdentically) {
 
   const ExtractionResponse cold = service.SubmitAndWait(request);
   ASSERT_TRUE(cold.ok());
-  EXPECT_FALSE(cold.cache_hit);
+  EXPECT_FALSE(cold.event.cache_hit);
 
   const ExtractionResponse warm = service.SubmitAndWait(request);
   ASSERT_TRUE(warm.ok());
-  EXPECT_TRUE(warm.cache_hit);
-  EXPECT_DOUBLE_EQ(warm.extract_seconds, 0);
+  EXPECT_TRUE(warm.event.cache_hit);
+  EXPECT_DOUBLE_EQ(warm.event.extract_seconds, 0);
   EXPECT_EQ(warm.result->table.ToString(), cold.result->table.ToString());
   // The cache stores shared immutable results; both responses may alias.
   EXPECT_EQ(warm.result.get(), cold.result.get());
@@ -246,7 +246,7 @@ TEST_F(ServiceTest, RepeatedListIsServedFromCacheIdentically) {
   request.bypass_cache = true;
   const ExtractionResponse bypass = service.SubmitAndWait(request);
   ASSERT_TRUE(bypass.ok());
-  EXPECT_FALSE(bypass.cache_hit);
+  EXPECT_FALSE(bypass.event.cache_hit);
   EXPECT_EQ(bypass.result->table.ToString(), cold.result->table.ToString());
 }
 

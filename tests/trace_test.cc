@@ -24,7 +24,6 @@
 #include "corpus/corpus_stats.h"
 #include "service/extraction_service.h"
 #include "service/serve_json.h"
-#include "service/slowlog.h"
 #include "synth/corpus_gen.h"
 #include "trace/chrome_trace.h"
 #include "trace/log.h"
@@ -342,49 +341,6 @@ TEST(PrometheusTest, BucketsAreCumulative) {
   }
   EXPECT_GT(buckets_seen, 2u);
   EXPECT_EQ(prev, 11u);  // +Inf bucket equals the total count.
-}
-
-// ---------------------------------------------------------------------------
-// Slow-request log
-// ---------------------------------------------------------------------------
-
-serve::SlowRequestRecord MakeRecord(uint64_t id, double total) {
-  serve::SlowRequestRecord rec;
-  rec.trace_id = id;
-  rec.total_seconds = total;
-  rec.outcome = "ok";
-  return rec;
-}
-
-TEST(SlowRequestLogTest, RetainsSlowestInDescendingOrder) {
-  serve::SlowRequestLog log(3);
-  EXPECT_TRUE(log.Add(MakeRecord(1, 0.010)));
-  EXPECT_TRUE(log.Add(MakeRecord(2, 0.050)));
-  EXPECT_TRUE(log.Add(MakeRecord(3, 0.001)));
-  EXPECT_TRUE(log.Add(MakeRecord(4, 0.030)));   // evicts 0.001
-  EXPECT_FALSE(log.Add(MakeRecord(5, 0.0001)));  // too fast, rejected
-  const auto records = log.Snapshot();
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].trace_id, 2u);
-  EXPECT_EQ(records[1].trace_id, 4u);
-  EXPECT_EQ(records[2].trace_id, 1u);
-  EXPECT_GE(records[0].total_seconds, records[1].total_seconds);
-  EXPECT_GE(records[1].total_seconds, records[2].total_seconds);
-}
-
-TEST(SlowRequestLogTest, ZeroCapacityRejectsEverything) {
-  serve::SlowRequestLog log(0);
-  EXPECT_FALSE(log.Add(MakeRecord(1, 99.0)));
-  EXPECT_EQ(log.size(), 0u);
-}
-
-TEST(SlowRequestLogTest, ClearEmptiesButKeepsCapacity) {
-  serve::SlowRequestLog log(2);
-  log.Add(MakeRecord(1, 1.0));
-  log.Clear();
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.capacity(), 2u);
-  EXPECT_TRUE(log.Add(MakeRecord(2, 0.5)));
 }
 
 // ---------------------------------------------------------------------------

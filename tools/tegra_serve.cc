@@ -437,18 +437,32 @@ bool ParseArgs(int argc, char** argv, ServeCliOptions* opts) {
       opts->quota.burst = std::atof(v);
     } else if (arg == "--log-format") {
       if (!(v = need_value(i))) return false;
+      const std::string format = v;
+      if (format != "text" && format != "json") {
+        std::fprintf(stderr, "bad --log-format (want text|json): %s\n", v);
+        return false;
+      }
       tegra::trace::Logger::Global().SetFormat(
-          std::string(v) == "json" ? tegra::trace::Logger::Format::kJson
-                                   : tegra::trace::Logger::Format::kText);
+          format == "json" ? tegra::trace::Logger::Format::kJson
+                           : tegra::trace::Logger::Format::kText);
     } else if (arg == "--log-level") {
       if (!(v = need_value(i))) return false;
       const std::string level = v;
-      tegra::trace::Logger::Global().SetMinLevel(
-          level == "debug"  ? tegra::trace::LogLevel::kDebug
-          : level == "warn" ? tegra::trace::LogLevel::kWarn
-          : level == "error"
-              ? tegra::trace::LogLevel::kError
-              : tegra::trace::LogLevel::kInfo);
+      tegra::trace::LogLevel min_level;
+      if (level == "debug") {
+        min_level = tegra::trace::LogLevel::kDebug;
+      } else if (level == "info") {
+        min_level = tegra::trace::LogLevel::kInfo;
+      } else if (level == "warn") {
+        min_level = tegra::trace::LogLevel::kWarn;
+      } else if (level == "error") {
+        min_level = tegra::trace::LogLevel::kError;
+      } else {
+        std::fprintf(stderr,
+                     "bad --log-level (want debug|info|warn|error): %s\n", v);
+        return false;
+      }
+      tegra::trace::Logger::Global().SetMinLevel(min_level);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return false;
