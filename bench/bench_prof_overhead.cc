@@ -19,12 +19,12 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "core/tegra.h"
 #include "corpus/column_index.h"
 #include "corpus/corpus_stats.h"
 #include "prof/profiler.h"
 #include "prof/wide_event.h"
-#include "service/metrics.h"
 #include "synth/corpus_gen.h"
 #include "synth/list_gen.h"
 

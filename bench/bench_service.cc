@@ -12,8 +12,8 @@
 
 #include "corpus/corpus_stats.h"
 #include "service/extraction_service.h"
-#include "service/lru_cache.h"
-#include "service/metrics.h"
+#include "common/lru_cache.h"
+#include "common/metrics.h"
 #include "synth/corpus_gen.h"
 #include "corpus/column_index.h"
 

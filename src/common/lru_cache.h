@@ -24,8 +24,8 @@
 // A capacity of 0 disables caching entirely: Get always misses, Put is a
 // no-op, and GetOrCompute degenerates to calling the closure.
 
-#ifndef TEGRA_SERVICE_LRU_CACHE_H_
-#define TEGRA_SERVICE_LRU_CACHE_H_
+#ifndef TEGRA_COMMON_LRU_CACHE_H_
+#define TEGRA_COMMON_LRU_CACHE_H_
 
 #include <atomic>
 #include <cstddef>
@@ -195,4 +195,4 @@ class ShardedLruCache {
 
 }  // namespace tegra
 
-#endif  // TEGRA_SERVICE_LRU_CACHE_H_
+#endif  // TEGRA_COMMON_LRU_CACHE_H_

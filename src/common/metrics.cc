@@ -1,4 +1,4 @@
-#include "service/metrics.h"
+#include "common/metrics.h"
 
 #include <algorithm>
 #include <cmath>

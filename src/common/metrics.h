@@ -1,14 +1,14 @@
-// Process-wide metrics primitives for the serving layer: monotonic counters,
-// point-in-time gauges, and fixed-bucket latency histograms with percentile
-// snapshots. All instruments are lock-free on the hot path (relaxed atomics);
-// the registry itself takes a mutex only on first registration of a name.
+// Process-wide metrics primitives: monotonic counters, point-in-time gauges,
+// and fixed-bucket latency histograms with percentile snapshots. All
+// instruments are lock-free on the hot path (relaxed atomics); the registry
+// itself takes a mutex only on first registration of a name.
 //
-// The registry is the single observable surface of a tegra process: the
-// ExtractionService, BatchExtractor and the CorpusStats co-occurrence cache
-// all report through it, and `tegra_serve` dumps a JSON snapshot on demand.
+// The registry is the single observable surface of a tegra process: every
+// layer from the corpus memo up to the ExtractionService reports through it,
+// and `tegra_serve` exposes it on the admin plane (/varz, /metrics).
 
-#ifndef TEGRA_SERVICE_METRICS_H_
-#define TEGRA_SERVICE_METRICS_H_
+#ifndef TEGRA_COMMON_METRICS_H_
+#define TEGRA_COMMON_METRICS_H_
 
 #include <atomic>
 #include <cstdint>
@@ -109,8 +109,8 @@ class Histogram {
   /// on success the observation is recorded as that bucket's exemplar. The
   /// hook must be cheap (thread-local reads) and is called outside any
   /// lock. Installed by prof::InstallExemplarSource(); the indirection
-  /// exists because tegra_metrics sits *below* tegra_trace in the link
-  /// order and cannot reach the trace context itself.
+  /// exists because common/ sits *below* trace/ and cannot reach the trace
+  /// context itself.
   using ExemplarSourceFn = bool (*)(uint64_t* trace_id, uint64_t* request_id);
   static void SetExemplarSource(ExemplarSourceFn fn);
 
@@ -194,4 +194,4 @@ class ScopedLatency {
 
 }  // namespace tegra
 
-#endif  // TEGRA_SERVICE_METRICS_H_
+#endif  // TEGRA_COMMON_METRICS_H_

@@ -76,9 +76,9 @@ std::string Trim(std::string_view s) { return std::string(TrimView(s)); }
 
 std::string ToLower(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
+  for (char& c : out) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
   return out;
 }
 
@@ -104,6 +104,40 @@ std::string PadRight(std::string s, size_t width) {
     s.resize(width);
   }
   return s;
+}
+
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  size_t run = 0;  // start of the pending run of bytes copied verbatim
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\b': *out += "\\b"; break;
+      case '\f': *out += "\\f"; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      case '\t': *out += "\\t"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        *out += buf;
+      }
+    }
+  }
+  out->append(s.data() + run, s.size() - run);
+}
+
+std::string JsonQuote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  AppendJsonEscaped(&out, s);
+  out += '"';
+  return out;
 }
 
 }  // namespace tegra

@@ -34,7 +34,7 @@ std::string Join(const std::vector<std::string>& parts,
 std::string_view TrimView(std::string_view s);
 std::string Trim(std::string_view s);
 
-/// \brief ASCII lower-casing.
+/// \brief ASCII lower-casing: only 'A'-'Z' change, whatever the locale.
 std::string ToLower(std::string_view s);
 
 /// \brief True if `s` starts with / ends with the given prefix/suffix.
@@ -46,6 +46,15 @@ std::string FormatDouble(double v, int digits = 2);
 
 /// \brief Pads or truncates `s` to exactly `width` characters (left aligned).
 std::string PadRight(std::string s, size_t width);
+
+/// \brief Appends `s` to `out` escaped for a JSON string literal (no quotes
+/// added). `"` and `\` are backslash-escaped, control characters take the
+/// short forms \b \f \n \r \t where RFC 8259 has one and \u00XX
+/// otherwise; every other byte, UTF-8 included, is copied as is.
+void AppendJsonEscaped(std::string* out, std::string_view s);
+
+/// \brief Returns `s` as a quoted JSON string literal.
+std::string JsonQuote(std::string_view s);
 
 }  // namespace tegra
 

@@ -2,9 +2,9 @@
 
 #include <atomic>
 
+#include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "service/metrics.h"
 #include "trace/trace.h"
 
 namespace tegra {

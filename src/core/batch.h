@@ -17,7 +17,7 @@
 
 namespace tegra {
 
-class MetricsRegistry;  // service/metrics.h
+class MetricsRegistry;  // common/metrics.h
 
 /// \brief Options for batch extraction.
 struct BatchOptions {

@@ -8,11 +8,14 @@
 
 namespace tegra {
 
+/// Lock shards of the co-occurrence memo, which every extraction thread
+/// probes on its hot path.
+constexpr size_t kCoCacheShards = 16;
+
 CorpusStats::CorpusStats(const CorpusView* index, CorpusStatsOptions options)
     : index_(index),
       options_(options),
-      co_cache_(options.co_cache_capacity,
-                std::max<size_t>(1, options.co_cache_shards)) {
+      co_cache_(options.co_cache_capacity, kCoCacheShards) {
   assert(index_ != nullptr);
   if (options_.metrics != nullptr) {
     co_lookups_ = options_.metrics->GetCounter("corpus.co_lookups_total");

@@ -10,9 +10,9 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/lru_cache.h"
+#include "common/metrics.h"
 #include "corpus/corpus_view.h"
-#include "service/lru_cache.h"
-#include "service/metrics.h"
 
 namespace tegra {
 
@@ -32,8 +32,6 @@ struct CorpusStatsOptions {
   /// upper bound of bookkeeping and covers the working set of even large
   /// extraction batches; 0 disables memoization entirely.
   size_t co_cache_capacity = 1 << 20;
-  /// Concurrency width of the memo.
-  size_t co_cache_shards = 16;
   /// Optional metrics sink (not owned; must outlive the CorpusStats). When
   /// set, every co-occurrence lookup increments `corpus.co_lookups_total`
   /// and memo hits increment `corpus.co_lookup_hits_total` — the work-volume

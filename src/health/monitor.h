@@ -5,7 +5,7 @@
 // bench baseline for the <2% overhead budget); Tick() is public so tests
 // drive the whole pipeline on a synthetic clock.
 //
-// tegra_health sits above tegra_metrics/tegra_trace/tegra_prof and *below*
+// tegra_health sits above tegra_common/tegra_trace/tegra_prof and *below*
 // tegra_service and tegra_net: the service hands its registry and a
 // refresh hook down here, never the other way around.
 
@@ -21,11 +21,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "health/heartbeat.h"
 #include "health/slo.h"
 #include "health/timeseries.h"
 #include "health/watchdog.h"
-#include "service/metrics.h"
 
 namespace tegra {
 namespace health {

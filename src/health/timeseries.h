@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "service/metrics.h"
+#include "common/metrics.h"
 
 namespace tegra {
 namespace health {

@@ -16,8 +16,8 @@
 #include <optional>
 #include <string>
 
+#include "common/metrics.h"
 #include "health/heartbeat.h"
-#include "service/metrics.h"
 
 namespace tegra {
 namespace health {

@@ -12,8 +12,6 @@ bool IsTagNameChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0;
 }
 
-std::string ToLowerAscii(std::string_view s) { return ToLower(s); }
-
 /// Collapses internal whitespace runs and trims.
 std::string CollapseWhitespace(const std::string& s) {
   std::string out;
@@ -60,7 +58,7 @@ size_t ParseTag(std::string_view html, size_t pos, std::string* name,
   if (*closing) ++i;
   size_t start = i;
   while (i < html.size() && IsTagNameChar(html[i])) ++i;
-  *name = ToLowerAscii(html.substr(start, i - start));
+  *name = ToLower(html.substr(start, i - start));
   return SkipTag(html, pos);
 }
 
@@ -134,7 +132,7 @@ std::string StripMarkup(std::string_view html) {
         // <sup> content is almost always a footnote/reference marker
         // ("[1]"), which is noise for table extraction.
         const std::string close = "</" + name;
-        const size_t end = ToLowerAscii(html).find(close, next);
+        const size_t end = ToLower(html).find(close, next);
         i = end == std::string_view::npos ? html.size()
                                           : SkipTag(html, end);
         continue;
@@ -201,7 +199,7 @@ std::vector<HtmlList> ExtractHtmlLists(std::string_view html) {
         while (scan < html.size()) {
           const size_t lt = html.find('<', scan);
           if (lt == std::string_view::npos) break;
-          if (ToLowerAscii(html.substr(lt, close.size())) == close) {
+          if (ToLower(html.substr(lt, close.size())) == close) {
             end = lt;
             break;
           }

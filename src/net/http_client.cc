@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/string_util.h"
 #include "net/http_parser.h"
 
 namespace tegra {
@@ -133,7 +134,7 @@ Result<ClientResponse> HttpClient::ReadResponse() {
     pos = eol + 2;
     const size_t colon = line.find(':');
     if (colon == std::string_view::npos) continue;
-    std::string key = ToLowerAscii(line.substr(0, colon));
+    std::string key = ToLower(line.substr(0, colon));
     std::string_view value = line.substr(colon + 1);
     while (!value.empty() && (value.front() == ' ' || value.front() == '\t')) {
       value.remove_prefix(1);
@@ -171,7 +172,7 @@ Result<ClientResponse> HttpClient::ReadResponse() {
   response.body = buf.substr(0, content_length);
   leftover_ = buf.substr(content_length);
 
-  if (ToLowerAscii(response.Header("connection")) == "close") Close();
+  if (ToLower(response.Header("connection")) == "close") Close();
   return response;
 }
 

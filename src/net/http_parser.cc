@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/string_util.h"
+
 namespace tegra {
 namespace net {
 
@@ -15,6 +17,8 @@ int HexValue(char c) {
   return -1;
 }
 
+/// Strips HTTP optional whitespace (SP / HTAB, plus a stray trailing CR).
+/// Narrower than tegra::TrimView, which strips every isspace byte.
 std::string_view TrimView(std::string_view s) {
   while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
     s.remove_prefix(1);
@@ -64,14 +68,6 @@ std::string PercentDecode(std::string_view in) {
   return out;
 }
 
-std::string ToLowerAscii(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  return out;
-}
-
 std::string HttpRequest::Param(const std::string& key,
                                const std::string& fallback) const {
   const auto it = params.find(key);
@@ -85,7 +81,7 @@ std::string HttpRequest::Header(const std::string& key,
 }
 
 bool HttpRequest::WantsKeepAlive() const {
-  const std::string connection = ToLowerAscii(Header("connection"));
+  const std::string connection = ToLower(Header("connection"));
   if (version == "HTTP/1.0") return connection == "keep-alive";
   return connection != "close";
 }
@@ -262,7 +258,7 @@ void HttpParser::ParseHead(size_t head_end) {
     }
     const size_t colon = line.find(':');
     if (colon == std::string_view::npos) continue;
-    request_.headers[ToLowerAscii(TrimView(line.substr(0, colon)))] =
+    request_.headers[ToLower(TrimView(line.substr(0, colon)))] =
         std::string(TrimView(line.substr(colon + 1)));
   }
 
@@ -270,7 +266,7 @@ void HttpParser::ParseHead(size_t head_end) {
   // not implemented: reject explicitly instead of mis-framing the stream.
   const auto te = request_.headers.find("transfer-encoding");
   if (te != request_.headers.end() &&
-      ToLowerAscii(te->second) != "identity") {
+      ToLower(te->second) != "identity") {
     Fail(501, "transfer-encoding \"" + te->second +
                   "\" not supported; use Content-Length");
     return;

@@ -91,9 +91,6 @@ std::string SerializeResponse(const HttpResponse& response, bool keep_alive);
 /// encoding). Malformed escapes are passed through literally.
 std::string PercentDecode(std::string_view in);
 
-/// \brief ASCII lower-case copy (header keys, Connection tokens).
-std::string ToLowerAscii(std::string_view s);
-
 /// \brief Hard limits enforced while a request is being parsed.
 struct HttpParserLimits {
   /// Upper bound on one request's head (request line + headers).

@@ -63,9 +63,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "net/http_parser.h"
-#include "service/metrics.h"
 
 namespace tegra {
 namespace net {

@@ -21,7 +21,7 @@
 #include <thread>
 #include <unordered_map>
 
-#include "service/metrics.h"
+#include "common/metrics.h"
 #include "trace/trace.h"
 
 namespace tegra {

@@ -13,7 +13,7 @@
 #include <mutex>
 #include <thread>
 
-#include "service/metrics.h"
+#include "common/metrics.h"
 
 namespace tegra {
 namespace prof {

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <utility>
 
-#include "trace/json_util.h"
+#include "common/string_util.h"
 
 namespace tegra {
 namespace prof {
@@ -29,20 +29,14 @@ std::string Num(double v) {
   return out.str();
 }
 
-std::string Escape(const std::string& in) {
-  std::string out;
-  trace::AppendJsonEscaped(&out, in);
-  return out;
-}
-
 }  // namespace
 
 std::string WideEvent::ToJson() const {
   std::ostringstream out;
   out << "{\"request_id\":" << request_id << ",\"trace_id\":" << trace_id
-      << ",\"endpoint\":\"" << Escape(endpoint)
-      << "\",\"outcome\":\"" << Escape(outcome)
-      << "\",\"status\":" << http_status
+      << ",\"endpoint\":" << JsonQuote(endpoint)
+      << ",\"outcome\":" << JsonQuote(outcome)
+      << ",\"status\":" << http_status
       << ",\"cache_hit\":" << (cache_hit ? "true" : "false")
       << ",\"batch\":" << (batch ? "true" : "false") << ",\"items\":" << items
       << ",\"corpus_generation\":" << corpus_generation
@@ -52,8 +46,8 @@ std::string WideEvent::ToJson() const {
       << ",\"sp_score\":" << Num(sp_score)
       << ",\"quality_level\":" << quality_level
       << ",\"num_lines\":" << num_lines << ",\"columns\":" << num_columns
-      << ",\"tenant\":\"" << Escape(tenant)
-      << "\",\"bytes_in\":" << bytes_in
+      << ",\"tenant\":" << JsonQuote(tenant)
+      << ",\"bytes_in\":" << bytes_in
       << ",\"bytes_out\":" << bytes_out << "}";
   return out.str();
 }

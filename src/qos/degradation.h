@@ -33,9 +33,9 @@
 #include <cstdint>
 #include <mutex>
 
-#include "qos/rungs.h"
+#include "common/metrics.h"
 #include "health/timeseries.h"
-#include "service/metrics.h"
+#include "qos/rungs.h"
 
 namespace tegra {
 namespace qos {

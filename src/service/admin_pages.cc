@@ -503,7 +503,6 @@ net::HttpResponse AdminPages::Statusz(const net::HttpRequest&) {
     RowCount(&body, "max_queue_depth", opts.max_queue_depth);
     RowNum(&body, "default_deadline_seconds", opts.default_deadline_seconds);
     RowCount(&body, "result_cache_capacity", opts.result_cache_capacity);
-    RowCount(&body, "result_cache_shards", opts.result_cache_shards);
     RowCount(&body, "slowlog_capacity", opts.slowlog_capacity);
     body += "</table>\n";
 

@@ -46,12 +46,12 @@
 #include <cstddef>
 #include <string>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "net/http_server.h"
 #include "prof/wide_event.h"
 #include "qos/token_bucket.h"
 #include "service/extraction_service.h"
-#include "service/metrics.h"
 #include "service/serve_json.h"
 
 namespace tegra {

@@ -15,6 +15,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Lock shards of the result cache; enough that the default worker count
+/// rarely contends on one.
+constexpr size_t kResultCacheShards = 8;
+
 double Seconds(Clock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
@@ -79,8 +83,7 @@ ExtractionService::ExtractionService(const ExtractorSource* source,
       queue_latency_(registry_->GetHistogram("service.queue_seconds")),
       extract_latency_(registry_->GetHistogram("service.extract_seconds")),
       total_latency_(registry_->GetHistogram("service.total_seconds")),
-      result_cache_(options_.result_cache_capacity,
-                    std::max<size_t>(1, options_.result_cache_shards)),
+      result_cache_(options_.result_cache_capacity, kResultCacheShards),
       slowlog_(options_.slowlog_capacity) {
   for (int rung = 0; rung < qos::kNumRungs; ++rung) {
     rung_requests_[rung] = registry_->GetCounter(

@@ -42,14 +42,14 @@
 #include <thread>
 #include <vector>
 
+#include "common/lru_cache.h"
+#include "common/metrics.h"
 #include "common/status.h"
 #include "core/tegra.h"
 #include "health/heartbeat.h"
 #include "prof/wide_event.h"
 #include "qos/degradation.h"
 #include "service/extractor_source.h"
-#include "service/lru_cache.h"
-#include "service/metrics.h"
 #include "trace/trace.h"
 
 namespace tegra {
@@ -67,8 +67,6 @@ struct ServiceOptions {
   double default_deadline_seconds = 0;
   /// Whole-list result cache budget in entries (0 disables caching).
   size_t result_cache_capacity = 1024;
-  /// Shards of the result cache.
-  size_t result_cache_shards = 8;
   /// Requests retained by the slow-request log, slowest first (0 disables).
   /// Each retained request keeps its full span tree when tracing is on.
   size_t slowlog_capacity = 8;

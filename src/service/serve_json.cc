@@ -7,6 +7,8 @@
 #include <sstream>
 #include <utility>
 
+#include "common/string_util.h"
+
 namespace tegra {
 namespace serve {
 
@@ -91,31 +93,6 @@ void JsonValue::Append(JsonValue v) {
   array_.push_back(std::move(v));
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
-
 std::string JsonValue::Dump() const {
   switch (type_) {
     case Type::kNull:
@@ -136,7 +113,7 @@ std::string JsonValue::Dump() const {
       return buf;
     }
     case Type::kString:
-      return "\"" + JsonEscape(string_) + "\"";
+      return JsonQuote(string_);
     case Type::kArray: {
       std::string out = "[";
       for (size_t i = 0; i < array_.size(); ++i) {
@@ -151,7 +128,10 @@ std::string JsonValue::Dump() const {
       for (const auto& [key, value] : object_) {
         if (!first) out += ",";
         first = false;
-        out += "\"" + JsonEscape(key) + "\":" + value.Dump();
+        out += '"';
+        AppendJsonEscaped(&out, key);
+        out += "\":";
+        out += value.Dump();
       }
       return out + "}";
     }

@@ -73,10 +73,6 @@ class JsonValue {
 /// up to trailing whitespace). Returns kInvalidArgument on malformed input.
 Result<JsonValue> ParseJson(std::string_view text);
 
-/// \brief Escapes `s` for embedding inside a JSON string literal (adds no
-/// surrounding quotes). Control characters become \uXXXX.
-std::string JsonEscape(std::string_view s);
-
 }  // namespace serve
 }  // namespace tegra
 

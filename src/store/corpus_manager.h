@@ -27,9 +27,9 @@
 #include <mutex>
 #include <string>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "corpus/corpus_view.h"
-#include "service/metrics.h"
 
 namespace tegra {
 namespace store {

@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "trace/json_util.h"
+#include "common/string_util.h"
 
 namespace tegra {
 namespace trace {

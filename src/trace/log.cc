@@ -5,7 +5,7 @@
 #include <ctime>
 #include <sstream>
 
-#include "trace/json_util.h"
+#include "common/string_util.h"
 
 namespace tegra {
 namespace trace {

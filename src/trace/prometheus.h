@@ -20,7 +20,7 @@
 
 #include <string>
 
-#include "service/metrics.h"
+#include "common/metrics.h"
 
 namespace tegra {
 namespace trace {

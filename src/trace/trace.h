@@ -45,8 +45,8 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/stopwatch.h"
-#include "service/metrics.h"
 
 #ifndef TEGRA_TRACE_ENABLED
 #define TEGRA_TRACE_ENABLED 1

@@ -9,7 +9,7 @@
 
 #include "core/active.h"
 #include "core/batch.h"
-#include "service/metrics.h"
+#include "common/metrics.h"
 #include "synth/corpus_gen.h"
 #include "synth/list_gen.h"
 #include "corpus/column_index.h"

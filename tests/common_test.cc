@@ -72,6 +72,38 @@ TEST(CaseAndAffixTest, Basic) {
   EXPECT_FALSE(EndsWith("x", ".idx"));
 }
 
+TEST(CaseAndAffixTest, ToLowerChangesOnlyAsciiLetters) {
+  EXPECT_EQ(ToLower("Content-Length: 10"), "content-length: 10");
+  // UTF-8 "ÄÖ" and bytes >= 0x80 pass through untouched.
+  EXPECT_EQ(ToLower("\xc3\x84\xc3\x96X"), "\xc3\x84\xc3\x96x");
+}
+
+std::string Escaped(std::string_view s) {
+  std::string out;
+  AppendJsonEscaped(&out, s);
+  return out;
+}
+
+TEST(JsonEscapeTest, ControlCharacters) {
+  EXPECT_EQ(Escaped("a\x02z"), "a\\u0002z");
+  EXPECT_EQ(Escaped("tab\t"), "tab\\t");
+  EXPECT_EQ(Escaped("plain"), "plain");
+  // RFC 8259 short forms where one exists, \u00XX for the rest.
+  EXPECT_EQ(Escaped("\b\f\n\r"), "\\b\\f\\n\\r");
+  EXPECT_EQ(Escaped(std::string_view("\0\x1f", 2)), "\\u0000\\u001f");
+  EXPECT_EQ(Escaped("\x7f"), "\x7f");
+}
+
+TEST(JsonEscapeTest, QuotesBackslashesAndUtf8) {
+  EXPECT_EQ(Escaped("say \"hi\" \\ bye"), "say \\\"hi\\\" \\\\ bye");
+  EXPECT_EQ(Escaped("caf\xc3\xa9"), "caf\xc3\xa9");
+  std::string out = "k=";
+  AppendJsonEscaped(&out, "\"");
+  EXPECT_EQ(out, "k=\\\"");  // appends, never clears
+  EXPECT_EQ(JsonQuote(""), "\"\"");
+  EXPECT_EQ(JsonQuote("a\"b"), "\"a\\\"b\"");
+}
+
 TEST(FormatDoubleTest, Precision) {
   EXPECT_EQ(FormatDouble(0.666666), "0.67");
   EXPECT_EQ(FormatDouble(1.0, 0), "1");

@@ -238,7 +238,6 @@ TEST(CorpusStatsTest, CoCacheStaysWithinConfiguredCapacityUnderStress) {
   ColumnIndex index = BuildExample2Corpus();
   CorpusStatsOptions options;
   options.co_cache_capacity = 128;
-  options.co_cache_shards = 4;
   CorpusStats stats(&index, options);
 
   // Stress far more distinct pairs than the capacity: every pad value

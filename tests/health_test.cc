@@ -23,12 +23,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "health/heartbeat.h"
 #include "health/slo.h"
 #include "health/timeseries.h"
 #include "health/watchdog.h"
 #include "prof/profiler.h"
-#include "service/metrics.h"
 
 namespace tegra {
 namespace health {

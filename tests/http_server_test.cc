@@ -13,9 +13,9 @@
 #include <thread>
 #include <utility>
 
+#include "common/metrics.h"
 #include "gtest/gtest.h"
 #include "net/http_client.h"
-#include "service/metrics.h"
 
 namespace tegra {
 namespace net {

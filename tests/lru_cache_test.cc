@@ -1,6 +1,6 @@
 // Tests for the sharded LRU cache that bounds the serving layer's memory.
 
-#include "service/lru_cache.h"
+#include "common/lru_cache.h"
 
 #include <gtest/gtest.h>
 

@@ -1,7 +1,7 @@
 // Tests for counters, gauges, fixed-bucket latency histograms and the
 // registry snapshot used by the serving layer.
 
-#include "service/metrics.h"
+#include "common/metrics.h"
 
 #include <gtest/gtest.h>
 

@@ -18,11 +18,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "prof/profiler.h"
 #include "prof/runtime_stats.h"
 #include "prof/wide_event.h"
-#include "service/metrics.h"
 #include "service/serve_json.h"
 #include "trace/prometheus.h"
 #include "trace/trace.h"

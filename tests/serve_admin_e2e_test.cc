@@ -241,6 +241,47 @@ TEST(ServeAdminE2eTest, UnknownLogFormatOrLevelIsAUsageError) {
   }
 }
 
+TEST(ServeAdminE2eTest, MalformedNumericFlagsAreUsageErrors) {
+  // A trailing --help makes a parser that accepts the value exit 0 there,
+  // before it starts a worker or builds a corpus, so a regression fails the
+  // test instead of serving with a wrapped negative or a huge thread count.
+  const std::vector<std::vector<std::string>> bad = {
+      {"--queue-depth", "-1"},     // as SIZE_MAX: no admission control
+      {"--slowlog", "-1"},         // as SIZE_MAX: every request retained
+      {"--workers", "four"},       // as atoi: 0, clamped to one worker
+      {"--cache-capacity", "-1"},  // as SIZE_MAX: per-shard capacity wraps
+      {"--co-cache-capacity", "1e6"},
+      {"--workers", "0"},
+      {"--workers", "1025"},
+      {"--threads", "0"},
+      {"--threads", "4096"},
+      {"--queue-depth", "+8"},
+      {"--queue-depth", " 8"},
+      {"--queue-depth", "8x"},
+      {"--queue-depth", ""},
+      {"--queue-depth", "18446744073709551616"},
+      {"--deadline-ms", "-5"},
+      {"--deadline-ms", "nan"},
+      {"--deadline-ms", "0x10"}};
+  for (const auto& args : bad) {
+    ServeProcess daemon;
+    ASSERT_TRUE(daemon.Start({args[0], args[1], "--help"}));
+    EXPECT_EQ(daemon.Wait(), 2) << args[0] << " '" << args[1] << "'";
+  }
+  // In-range values, limits included, still parse.
+  const std::vector<std::vector<std::string>> good = {
+      {"--workers", "1"},          {"--workers", "1024"},
+      {"--threads", "1024"},       {"--queue-depth", "0"},
+      {"--slowlog", "0"},          {"--cache-capacity", "0"},
+      {"--co-cache-capacity", "1048576"},
+      {"--deadline-ms", "250"},    {"--deadline-ms", "2.5"}};
+  for (const auto& args : good) {
+    ServeProcess daemon;
+    ASSERT_TRUE(daemon.Start({args[0], args[1], "--help"}));
+    EXPECT_EQ(daemon.Wait(), 0) << args[0] << " '" << args[1] << "'";
+  }
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace tegra

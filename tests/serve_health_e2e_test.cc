@@ -35,37 +35,6 @@ namespace tegra {
 namespace serve {
 namespace {
 
-struct ReadyPorts {
-  int admin = -1;
-  int data = -1;
-};
-
-ReadyPorts ReadReadyEvents(ServeProcess* daemon) {
-  ReadyPorts ports;
-  for (int i = 0; i < 2; ++i) {
-    const std::string line = daemon->NextLine();
-    const auto parsed = ParseJson(line);
-    EXPECT_TRUE(parsed.ok()) << line;
-    if (!parsed.ok()) return ports;
-    const std::string event = (*parsed)["event"].AsString();
-    const int port = static_cast<int>((*parsed)["port"].AsNumber(0));
-    if (event == "admin_ready") {
-      ports.admin = port;
-    } else if (event == "data_ready") {
-      ports.data = port;
-    } else {
-      ADD_FAILURE() << "unexpected event line: " << line;
-    }
-  }
-  return ports;
-}
-
-void Quit(ServeProcess* daemon) {
-  ASSERT_TRUE(daemon->WriteLine("{\"cmd\":\"quit\"}"));
-  daemon->CloseStdin();
-  EXPECT_EQ(daemon->Wait(), 0);
-}
-
 // Polls `fetch` every 50 ms until it returns true or `timeout_ms` elapses.
 template <typename Fn>
 bool PollUntil(Fn fetch, int timeout_ms) {
@@ -83,7 +52,7 @@ TEST(ServeHealthE2eTest, TimeseriesRecordServedTraffic) {
   ASSERT_TRUE(daemon.Start({"--build-corpus", "web:200:1", "--port", "0",
                             "--admin-port", "0", "--workers", "2",
                             "--health-interval-ms", "100"}));
-  const ReadyPorts ports = ReadReadyEvents(&daemon);
+  const ReadyPorts ports = ReadReadyEvents(&daemon, /*expect_admin=*/true);
   ASSERT_GT(ports.data, 0);
   ASSERT_GT(ports.admin, 0);
 
@@ -200,7 +169,7 @@ TEST(ServeHealthE2eTest, OverloadFiresAvailabilityAlertAndDegradesReadyz) {
                             "--admin-port", "0", "--workers", "2",
                             "--health-interval-ms", "100", "--slo-config",
                             slo_path}));
-  const ReadyPorts ports = ReadReadyEvents(&daemon);
+  const ReadyPorts ports = ReadReadyEvents(&daemon, /*expect_admin=*/true);
   ASSERT_GT(ports.data, 0);
   ASSERT_GT(ports.admin, 0);
 
@@ -271,7 +240,7 @@ TEST(ServeHealthE2eTest, InjectedStallTripsWatchdogOnceWithTegraStack) {
                             "--admin-port", "0", "--workers", "2",
                             "--health-interval-ms", "100",
                             "--stall-threshold-ms", "300"}));
-  const ReadyPorts ports = ReadReadyEvents(&daemon);
+  const ReadyPorts ports = ReadReadyEvents(&daemon, /*expect_admin=*/true);
   ASSERT_GT(ports.data, 0);
   ASSERT_GT(ports.admin, 0);
 
@@ -356,7 +325,7 @@ TEST(ServeHealthE2eTest, HealthDisabledServesPagesEmpty) {
   ASSERT_TRUE(daemon.Start({"--build-corpus", "web:200:1", "--port", "0",
                             "--admin-port", "0", "--workers", "2",
                             "--health-interval-ms", "0"}));
-  const ReadyPorts ports = ReadReadyEvents(&daemon);
+  const ReadyPorts ports = ReadReadyEvents(&daemon, /*expect_admin=*/true);
   ASSERT_GT(ports.admin, 0);
 
   const auto index =

@@ -38,39 +38,6 @@ namespace tegra {
 namespace serve {
 namespace {
 
-/// Ports announced by the daemon's ready events, in any order.
-struct ReadyPorts {
-  int admin = -1;
-  int data = -1;
-};
-
-ReadyPorts ReadReadyEvents(ServeProcess* daemon, bool expect_admin) {
-  ReadyPorts ports;
-  const int expected = expect_admin ? 2 : 1;
-  for (int i = 0; i < expected; ++i) {
-    const std::string line = daemon->NextLine();
-    const auto parsed = ParseJson(line);
-    EXPECT_TRUE(parsed.ok()) << line;
-    if (!parsed.ok()) return ports;
-    const std::string event = (*parsed)["event"].AsString();
-    const int port = static_cast<int>((*parsed)["port"].AsNumber(0));
-    if (event == "admin_ready") {
-      ports.admin = port;
-    } else if (event == "data_ready") {
-      ports.data = port;
-    } else {
-      ADD_FAILURE() << "unexpected event line: " << line;
-    }
-  }
-  return ports;
-}
-
-void Quit(ServeProcess* daemon) {
-  ASSERT_TRUE(daemon->WriteLine("{\"cmd\":\"quit\"}"));
-  daemon->CloseStdin();
-  EXPECT_EQ(daemon->Wait(), 0);
-}
-
 TEST(ServeHttpE2eTest, ConcurrentKeepAliveClientsSurviveCorpusReload) {
   const std::string path = testing::TempDir() + "serve_http_e2e_" +
                            std::to_string(::getpid()) + ".idx2";

@@ -90,10 +90,21 @@ TEST(JsonValueTest, BuildersProduceCompactJson) {
             R"({"frac":0.5,"items":["x",null],"n":3,"ok":true})");
 }
 
-TEST(JsonEscapeTest, ControlCharacters) {
-  EXPECT_EQ(JsonEscape("a\x02z"), "a\\u0002z");
-  EXPECT_EQ(JsonEscape("tab\t"), "tab\\t");
-  EXPECT_EQ(JsonEscape("plain"), "plain");
+TEST(JsonValueTest, EveryAsciiByteRoundTripsThroughDumpAndParse) {
+  std::string all;
+  for (int c = 0; c < 0x80; ++c) all += static_cast<char>(c);
+  all += "\"\\";
+  const std::string dumped = JsonValue::Str(all).Dump();
+  auto parsed = ParseJson(dumped);
+  ASSERT_TRUE(parsed.ok()) << dumped;
+  EXPECT_EQ(parsed->AsString(), all);
+
+  // Object keys go through the same escaper.
+  JsonValue obj = JsonValue::Object();
+  obj.Set(all, JsonValue::Number(1));
+  auto reparsed = ParseJson(obj.Dump());
+  ASSERT_TRUE(reparsed.ok());
+  EXPECT_TRUE(reparsed->Has(all));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Shared harness for end-to-end tests that drive the real tegra_serve
 // binary: fork/exec with stdin/stdout pipes, a reader thread so the child
-// can never block on a full stdout pipe, a canned extraction-request
-// builder and /varz readers. Used by the serve_*_e2e tests.
+// can never block on a full stdout pipe, the ready-event reader, a canned
+// extraction-request builder and /varz readers. Used by the serve_*_e2e
+// tests.
 //
 // The including target must define TEGRA_SERVE_BINARY (the compile-time
 // path of the daemon binary).
@@ -9,6 +10,7 @@
 #ifndef TEGRA_TESTS_SERVE_PROCESS_UTIL_H_
 #define TEGRA_TESTS_SERVE_PROCESS_UTIL_H_
 
+#include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -153,6 +155,42 @@ class ServeProcess {
   std::deque<std::string> lines_;
   bool eof_ = false;
 };
+
+/// Ports announced by the daemon's ready events, in any order.
+struct ReadyPorts {
+  int admin = -1;
+  int data = -1;
+};
+
+/// Reads the startup events: `data_ready`, plus `admin_ready` when
+/// `expect_admin` (the daemon was started with --admin-port as well).
+inline ReadyPorts ReadReadyEvents(ServeProcess* daemon, bool expect_admin) {
+  ReadyPorts ports;
+  const int expected = expect_admin ? 2 : 1;
+  for (int i = 0; i < expected; ++i) {
+    const std::string line = daemon->NextLine();
+    const auto parsed = ParseJson(line);
+    EXPECT_TRUE(parsed.ok()) << line;
+    if (!parsed.ok()) return ports;
+    const std::string event = (*parsed)["event"].AsString();
+    const int port = static_cast<int>((*parsed)["port"].AsNumber(0));
+    if (event == "admin_ready") {
+      ports.admin = port;
+    } else if (event == "data_ready") {
+      ports.data = port;
+    } else {
+      ADD_FAILURE() << "unexpected event line: " << line;
+    }
+  }
+  return ports;
+}
+
+/// Sends the quit command, closes stdin and expects a clean exit.
+inline void Quit(ServeProcess* daemon) {
+  ASSERT_TRUE(daemon->WriteLine("{\"cmd\":\"quit\"}"));
+  daemon->CloseStdin();
+  EXPECT_EQ(daemon->Wait(), 0);
+}
 
 /// Canned NDJSON extraction request (`num_lines` rows starting at `rotate`
 /// in a fixed city table; bypass_cache so every request does real work).

@@ -24,38 +24,6 @@ namespace tegra {
 namespace serve {
 namespace {
 
-struct ReadyPorts {
-  int admin = -1;
-  int data = -1;
-};
-
-ReadyPorts ReadReadyEvents(ServeProcess* daemon, bool expect_admin) {
-  ReadyPorts ports;
-  const int expected = expect_admin ? 2 : 1;
-  for (int i = 0; i < expected; ++i) {
-    const std::string line = daemon->NextLine();
-    const auto parsed = ParseJson(line);
-    EXPECT_TRUE(parsed.ok()) << line;
-    if (!parsed.ok()) return ports;
-    const std::string event = (*parsed)["event"].AsString();
-    const int port = static_cast<int>((*parsed)["port"].AsNumber(0));
-    if (event == "admin_ready") {
-      ports.admin = port;
-    } else if (event == "data_ready") {
-      ports.data = port;
-    } else {
-      ADD_FAILURE() << "unexpected event line: " << line;
-    }
-  }
-  return ports;
-}
-
-void Quit(ServeProcess* daemon) {
-  ASSERT_TRUE(daemon->WriteLine("{\"cmd\":\"quit\"}"));
-  daemon->CloseStdin();
-  EXPECT_EQ(daemon->Wait(), 0);
-}
-
 /// quality_level of one served request right now (or -1 on any failure).
 int ProbeQualityLevel(int port) {
   net::HttpClient client("127.0.0.1", port, /*timeout_ms=*/30000);

@@ -9,7 +9,7 @@
 #include "distance/distance.h"
 #include "synth/corpus_gen.h"
 #include "corpus/column_index.h"
-#include "service/metrics.h"
+#include "common/metrics.h"
 #include "trace/trace.h"
 
 namespace tegra {

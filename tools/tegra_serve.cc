@@ -72,10 +72,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <fstream>
 #include <future>
@@ -128,15 +131,18 @@ options:
   --build-corpus SPEC     build a synthetic corpus; SPEC = profile:tables:seed
                           with profile in {web, wiki, enterprise}
                           (default: web:5000:1 when --corpus is not given)
-  --workers N             extraction worker threads (default 4)
-  --queue-depth N         admission-control queue bound (default 64)
-  --deadline-ms D         default per-request deadline (default: none)
-  --cache-capacity N      whole-list result cache entries (default 1024)
-  --co-cache-capacity N   corpus co-occurrence memo entries (default 1M)
+  --workers N             extraction worker threads, 1..1024 (default 4)
+  --queue-depth N         admission-control queue bound, 0..2^20 (default 64)
+  --deadline-ms D         default per-request deadline in ms, 0..86400000
+                          (default: none)
+  --cache-capacity N      whole-list result cache entries, 0..2^32
+                          (default 1024)
+  --co-cache-capacity N   corpus co-occurrence memo entries, 0..2^32
+                          (default 1M)
   --alpha X               syntactic weight in [0,1] (default 0.5)
-  --threads N             per-extraction anchor threads (default 1)
+  --threads N             per-extraction anchor threads, 1..1024 (default 1)
   --trace on|off          runtime span recording (default on)
-  --slowlog N             slow-request log capacity (default 8)
+  --slowlog N             slow-request log capacity, 0..2^16 (default 8)
   --admin-port N          serve the HTTP admin plane (zPages: /metrics
                           /healthz /readyz /statusz /tracez /slowlogz /varz)
                           on 127.0.0.1:N; N=0 binds an ephemeral port and
@@ -254,6 +260,49 @@ struct ServeCliOptions {
   tegra::serve::ServiceOptions service;
 };
 
+/// Upper bounds of the numeric flags. Counts beyond them are typos or wrapped
+/// negatives, not sizing: each one would start that many threads, disable
+/// admission control or retain every request.
+constexpr uint64_t kMaxThreads = 1024;
+constexpr uint64_t kMaxQueueDepth = uint64_t{1} << 20;
+constexpr uint64_t kMaxCacheEntries = uint64_t{1} << 32;
+constexpr uint64_t kMaxSlowlog = uint64_t{1} << 16;
+constexpr double kMaxDeadlineMs = 86400000;  // one day
+
+/// Parses the whole of `v` as a base-10 count in [lo, hi]: no sign, no
+/// whitespace, no trailing bytes. Complains on stderr when it cannot.
+template <typename T>
+bool ParseCount(const std::string& flag, const char* v, uint64_t lo,
+                uint64_t hi, T* out) {
+  const char* end = v + std::strlen(v);
+  uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    std::fprintf(stderr, "bad %s (want an integer in %llu..%llu): %s\n",
+                 flag.c_str(), static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi), v);
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
+}
+
+/// Parses the whole of `v` as a decimal number of milliseconds in
+/// [0, kMaxDeadlineMs] and stores it in seconds.
+bool ParseMillisAsSeconds(const std::string& flag, const char* v,
+                          double* seconds) {
+  const char* end = v + std::strlen(v);
+  double ms = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, ms);
+  if (ec != std::errc() || ptr != end || !(ms >= 0 && ms <= kMaxDeadlineMs)) {
+    std::fprintf(stderr, "bad %s (want milliseconds in 0..%.0f): %s\n",
+                 flag.c_str(), kMaxDeadlineMs, v);
+    return false;
+  }
+  *seconds = ms / 1e3;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, ServeCliOptions* opts) {
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
@@ -275,20 +324,33 @@ bool ParseArgs(int argc, char** argv, ServeCliOptions* opts) {
       if (!(v = need_value(i))) return false;
       opts->build_spec = v;
     } else if (arg == "--workers") {
-      if (!(v = need_value(i))) return false;
-      opts->service.num_workers = std::atoi(v);
+      if (!(v = need_value(i)) ||
+          !ParseCount(arg, v, 1, kMaxThreads, &opts->service.num_workers)) {
+        return false;
+      }
     } else if (arg == "--queue-depth") {
-      if (!(v = need_value(i))) return false;
-      opts->service.max_queue_depth = static_cast<size_t>(std::atoll(v));
+      if (!(v = need_value(i)) ||
+          !ParseCount(arg, v, 0, kMaxQueueDepth,
+                      &opts->service.max_queue_depth)) {
+        return false;
+      }
     } else if (arg == "--deadline-ms") {
-      if (!(v = need_value(i))) return false;
-      opts->service.default_deadline_seconds = std::atof(v) / 1e3;
+      if (!(v = need_value(i)) ||
+          !ParseMillisAsSeconds(arg, v,
+                                &opts->service.default_deadline_seconds)) {
+        return false;
+      }
     } else if (arg == "--cache-capacity") {
-      if (!(v = need_value(i))) return false;
-      opts->service.result_cache_capacity = static_cast<size_t>(std::atoll(v));
+      if (!(v = need_value(i)) ||
+          !ParseCount(arg, v, 0, kMaxCacheEntries,
+                      &opts->service.result_cache_capacity)) {
+        return false;
+      }
     } else if (arg == "--co-cache-capacity") {
-      if (!(v = need_value(i))) return false;
-      opts->co_cache_capacity = static_cast<size_t>(std::atoll(v));
+      if (!(v = need_value(i)) ||
+          !ParseCount(arg, v, 0, kMaxCacheEntries, &opts->co_cache_capacity)) {
+        return false;
+      }
     } else if (arg == "--alpha") {
       if (!(v = need_value(i))) return false;
       opts->tegra.distance.alpha = std::atof(v);
@@ -298,14 +360,19 @@ bool ParseArgs(int argc, char** argv, ServeCliOptions* opts) {
         return false;
       }
     } else if (arg == "--threads") {
-      if (!(v = need_value(i))) return false;
-      opts->tegra.num_threads = std::atoi(v);
+      if (!(v = need_value(i)) ||
+          !ParseCount(arg, v, 1, kMaxThreads, &opts->tegra.num_threads)) {
+        return false;
+      }
     } else if (arg == "--trace") {
       if (!(v = need_value(i))) return false;
       opts->trace_enabled = std::string(v) != "off";
     } else if (arg == "--slowlog") {
-      if (!(v = need_value(i))) return false;
-      opts->service.slowlog_capacity = static_cast<size_t>(std::atoll(v));
+      if (!(v = need_value(i)) ||
+          !ParseCount(arg, v, 0, kMaxSlowlog,
+                      &opts->service.slowlog_capacity)) {
+        return false;
+      }
     } else if (arg == "--admin-port") {
       if (!(v = need_value(i))) return false;
       opts->admin_port = std::atoi(v);
